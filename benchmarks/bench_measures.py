@@ -12,11 +12,15 @@ four pipelines:
   ``spread_slice``) with the numpy backend forced off;
 * **numpy** — the same engine with the numpy fast path (skipped when
   numpy is not installed);
-* **streaming** — :class:`OnlineMeasures` fed sample-by-sample (this
-  one pays the clock reads too, so it is reported but not gated).
+* **streaming** — :class:`OnlineMeasures` fed sample-by-sample; it
+  pays the 16 clock reads per grid point the other pipelines get for
+  free and the accuracy/recovery bookkeeping they do not do, so it is
+  gated on its own ratio to the legacy yardstick
+  (``analysis.streaming.speedup``), not against the post-hoc engines.
 
-Every pipeline must produce **byte-identical** deviation series; the
-assertions here and ``tools/bench_gate.py`` (which imports
+Every pipeline must produce **byte-identical** deviation series, and
+the streamed accuracy and recovery reports must equal the post-hoc
+ones; the assertions here and ``tools/bench_gate.py`` (which imports
 :func:`measure` and writes ``BENCH_PR4.json``) both enforce it.
 """
 
@@ -32,7 +36,11 @@ from time import perf_counter
 from _util import emit, once
 
 from repro.metrics.columns import HAVE_NUMPY, set_numpy
-from repro.metrics.measures import deviation_series
+from repro.metrics.measures import (
+    accuracy_report,
+    deviation_series,
+    recovery_report,
+)
 from repro.metrics.report import table
 from repro.metrics.sampler import ClockSamples, CorruptionInterval, GoodSetIndex, good_set
 from repro.metrics.streaming import OnlineMeasures
@@ -185,10 +193,20 @@ def measure():
         "seed": 1,
     }
 
+    def streamed():
+        stream = OnlineMeasures(clocks, corruptions, pi=pi, n=n,
+                                recovery_tolerance=1.0, recovery_settle=pi)
+        on_sample = stream.on_sample
+        for i, tau in enumerate(times):
+            on_sample(tau, i)
+        stream.finalize()
+        return stream
+
     pipelines = {
         "legacy": (lambda: legacy_deviation_series(
             legacy_times, legacy_rows, corruptions, pi, n), legacy_n),
         "python": (lambda: analysis(False), len(times)),
+        "streaming": (streamed, len(times)),
         "e2e": (lambda: run_config(e1_config, stream_measures=True), 1.0),
     }
     if HAVE_NUMPY:
@@ -208,16 +226,17 @@ def measure():
     assert _series_bytes(python_series[:cut]) == _series_bytes(legacy_series), \
         "new engine diverged from the legacy row-oriented path"
 
-    # Streaming: pays the clock reads too, so reported but not gated.
-    stream = OnlineMeasures(clocks, corruptions, pi=pi, n=n,
-                            recovery_tolerance=1.0, recovery_settle=pi)
-    t0 = perf_counter()
-    for i, tau in enumerate(times):
-        stream.on_sample(tau, i)
-    stream.finalize()
-    stream_sps = len(times) / (perf_counter() - t0)
+    # Streaming: all three reports byte-identical to the post-hoc path.
+    stream, stream_sps = results["streaming"], throughput["streaming"]
+    index = GoodSetIndex(corruptions, pi, n)
     assert _series_bytes(stream.deviation_series()) == _series_bytes(python_series), \
         "streamed deviation series diverged from the post-hoc series"
+    assert stream.accuracy() == accuracy_report(
+        samples, corruptions, clocks, pi, n, index=index), \
+        "streamed accuracy report diverged from the post-hoc report"
+    assert stream.recovery() == recovery_report(
+        samples, corruptions, pi, n, 1.0, pi, index=index), \
+        "streamed recovery events diverged from the post-hoc events"
 
     record = results["e2e"]
     events_per_sec = record.events_processed * throughput["e2e"]
@@ -232,6 +251,7 @@ def measure():
                        "speedup": numpy_sps / legacy_sps}
                       if numpy_sps is not None else None),
             "streaming_samples_per_sec": stream_sps,
+            "streaming": {"speedup": stream_sps / legacy_sps},
         },
         "end_to_end": {
             "events_per_sec": events_per_sec,
@@ -255,7 +275,8 @@ def metrics_table(metrics):
                      f"{analysis['numpy']['samples_per_sec']:,.0f}",
                      f"{analysis['numpy']['speedup']:.1f}x"))
     rows.append(("streaming (incl. clock reads)",
-                 f"{analysis['streaming_samples_per_sec']:,.0f}", "-"))
+                 f"{analysis['streaming_samples_per_sec']:,.0f}",
+                 f"{analysis['streaming']['speedup']:.1f}x"))
     rows.append(("end-to-end streamed E1 (events/s)",
                  f"{metrics['end_to_end']['events_per_sec']:,.0f}", "-"))
     return table(

@@ -29,6 +29,7 @@ from repro.clocks.hardware import (
     QuantizedClock,
 )
 from repro.clocks.logical import LogicalClock
+from repro.clocks.mirror import ClockMirror
 
 __all__ = [
     "HardwareClock",
@@ -36,6 +37,7 @@ __all__ = [
     "PiecewiseRateClock",
     "QuantizedClock",
     "LogicalClock",
+    "ClockMirror",
     "constant_rate",
     "alternating_schedule",
     "wander_schedule",

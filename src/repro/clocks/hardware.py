@@ -31,6 +31,9 @@ from typing import Sequence
 
 from repro.errors import ClockError
 
+#: ``(starts, h_at_start, rates)`` of :meth:`HardwareClock.linear_segments`.
+LinearSegments = tuple[tuple[float, ...], tuple[float, ...], tuple[float, ...]]
+
 
 class HardwareClock:
     """Abstract hardware clock: a monotone map from real to local time.
@@ -59,6 +62,21 @@ class HardwareClock:
     def rate_at(self, tau: float) -> float:
         """Instantaneous rate ``dH/dtau`` at real time ``tau``."""
         raise NotImplementedError
+
+    def linear_segments(self) -> LinearSegments | None:
+        """The clock as linear pieces ``(starts, h_at_start, rates)``.
+
+        A clock that returns a triple promises that for every ``tau``
+        in piece ``k`` (``starts[k] <= tau < starts[k + 1]``; the last
+        piece extends to infinity and the first also covers the
+        ``1e-12`` of slack before the origin) :meth:`read` evaluates
+        exactly ``h_at_start[k] + (tau - starts[k]) * rates[k]`` — the
+        same float expression, so a consumer that mirrors the current
+        piece (:class:`~repro.clocks.mirror.ClockMirror`) reproduces
+        every reading bit for bit.  ``None`` (the default) means the
+        clock has no such form and must be read through :meth:`read`.
+        """
+        return None
 
     # -- derived helpers -----------------------------------------------------
 
@@ -123,6 +141,9 @@ class FixedRateClock(HardwareClock):
     def rate_at(self, tau: float) -> float:
         self._check_domain(tau)
         return self.rate
+
+    def linear_segments(self) -> LinearSegments:
+        return (self.origin,), (self.offset,), (self.rate,)
 
 
 class PiecewiseRateClock(HardwareClock):
@@ -203,6 +224,10 @@ class PiecewiseRateClock(HardwareClock):
     def rate_at(self, tau: float) -> float:
         self._check_domain(tau)
         return self._rates[self._segment_for_tau(tau)]
+
+    def linear_segments(self) -> LinearSegments:
+        return (tuple(self._starts), tuple(self._h_at_start),
+                tuple(self._rates))
 
     @property
     def breakpoints(self) -> list[float]:

@@ -34,6 +34,7 @@ import struct
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
+from repro.clocks.mirror import ClockMirror
 from repro.errors import MeasurementError
 from repro.metrics.columns import as_column, new_column
 
@@ -348,15 +349,22 @@ class WindowCursor:
 
     For a *non-decreasing* sequence of query times (a live sampling
     grid), :meth:`included_at` walks the piece list forward instead of
-    bisecting, making the whole pass O(samples + pieces).
+    bisecting, making the whole pass O(samples + pieces); a query that
+    stays inside the current open gap costs one comparison.
     """
 
     def __init__(self, index: WindowIndex) -> None:
         self._index = index
         self._pos = 0
+        self._current = index._included[0]
+        # Exclusive end of the current open gap; -inf while the cursor
+        # sits on a boundary point (the next query must re-walk).
+        self._gap_end = -math.inf
 
     def included_at(self, tau: float) -> frozenset[int]:
         """Included set at ``tau``; ``tau`` must not decrease across calls."""
+        if tau < self._gap_end:
+            return self._current
         bounds = self._index._bounds
         pos = self._pos
         while True:
@@ -368,7 +376,12 @@ class WindowCursor:
                 break
             pos += 1
         self._pos = pos
-        return self._index._included[pos]
+        if point:
+            self._gap_end = -math.inf
+        else:
+            self._gap_end = bounds[half] if half < len(bounds) else math.inf
+        self._current = self._index._included[pos]
+        return self._current
 
 
 class GoodSetIndex(WindowIndex):
@@ -539,11 +552,12 @@ class ClockSampler:
         self.samples = ClockSamples(times=new_column(),
                                     clocks={node: new_column() for node in clocks})
         self._count = 0
-        # Pre-bound (append, read) pairs: _sample runs on every grid
-        # point and the node set is fixed, so the per-sample dict and
-        # attribute lookups are hoisted out of the hot loop.
-        self._columns = [(self.samples.clocks[node].append, clock.read)
-                         for node, clock in clocks.items()]
+        # _sample runs on every grid point and the node set is fixed:
+        # the column appends are bound once, and the row of readings
+        # comes from the shared segment mirror (bit-identical to
+        # clock.read, see repro.clocks.mirror) instead of n read calls.
+        self._appends = [self.samples.clocks[node].append for node in clocks]
+        self._mirror = ClockMirror(list(clocks.values())) if self.record else None
 
     def start(self, until: float) -> None:
         """Schedule sampling events on the grid ``0, dt, 2dt, ... <= until``."""
@@ -557,8 +571,9 @@ class ClockSampler:
         if self.record:
             times = self.samples.times
             times.append(tau)
-            for append, read in self._columns:
-                append(read(tau))
+            for append, value in zip(self._appends,
+                                     self._mirror.read_all(tau)):
+                append(value)
             index = len(times) - 1
         else:
             index = self._count

@@ -25,6 +25,15 @@ adversary), and each post-hoc lookup has an online mirror:
 
 The property suite and ``tools/check_determinism.py --stream`` enforce
 the contract end to end.
+
+**Cost model**: a grid point costs what it must and nothing that grows
+with the run's history — one read per clock (through the shared
+:class:`~repro.clocks.mirror.ClockMirror`), one min/max over the good
+set, two comparisons against the heads of the capture queues, one
+against the next release, and one ``observe`` per *active* recovery
+tracker (those between their release and their confirmation; waiting
+and retired trackers cost nothing).  DESIGN.md §8 has the argument that
+this event-driven form preserves the three mirrors above.
 """
 
 from __future__ import annotations
@@ -33,6 +42,7 @@ import bisect
 import math
 from typing import TYPE_CHECKING, Sequence
 
+from repro.clocks.mirror import ClockMirror
 from repro.errors import MeasurementError
 from repro.metrics.columns import new_column
 from repro.metrics.measures import (
@@ -53,11 +63,21 @@ _EPS = 1e-12
 
 
 class _RecoveryTracker:
-    """Online mirror of one corruption's post-hoc recovery scan."""
+    """Online mirror of one corruption's post-hoc recovery scan.
+
+    Lives in :class:`OnlineMeasures`' waiting queue until the first
+    sample at or after the release, then in its active list until
+    :meth:`observe` reports it done (confirmed, or skipped for want of
+    a good range at the start sample).
+    """
+
+    __slots__ = ("corruption", "node", "tolerance", "settle", "started",
+                 "skipped", "initial", "candidate", "rejoined", "confirmed")
 
     def __init__(self, corruption: CorruptionInterval, tolerance: float,
                  settle: float) -> None:
         self.corruption = corruption
+        self.node = corruption.node
         self.tolerance = tolerance
         self.settle = settle
         self.started = False
@@ -67,46 +87,32 @@ class _RecoveryTracker:
         self.rejoined = math.inf
         self.confirmed = False
 
-    def _range(self, vals: dict[int, float],
-               good: frozenset[int]) -> tuple[float, float] | None:
-        """Good-range bounds excluding the recovering node itself."""
-        others = set(good)
-        others.discard(self.corruption.node)
-        if not others:
-            return None
-        values = [vals[node] for node in others]
-        return min(values), max(values)
+    def observe(self, tau: float, value: float,
+                bounds: tuple[float, float] | None) -> bool:
+        """Feed one sample at or after the release; True once done.
 
-    def observe(self, tau: float, vals: dict[int, float],
-                good: frozenset[int]) -> None:
-        """Feed one sample; no-op once confirmed or skipped."""
-        if self.confirmed or self.skipped:
-            return
+        ``value`` is the recovering node's clock and ``bounds`` the
+        good range *excluding* that node (None when empty).
+        """
         if not self.started:
-            if tau < self.corruption.end - _EPS:
-                return
             self.started = True
-            bounds0 = self._range(vals, good)
-            if bounds0 is None:
+            if bounds is None:
                 self.skipped = True
-                return
-            own = vals[self.corruption.node]
-            self.initial = max(0.0, max(bounds0[0] - own, own - bounds0[1]))
+                return True
+            self.initial = max(0.0, max(bounds[0] - value, value - bounds[1]))
         # A sample past the settle window confirms the candidate before
         # its own violation status is considered (it lies outside the
         # candidate's window) — matching _stably_within exactly.
         if self.candidate is not None and tau > self.candidate + self.settle:
             self.confirmed = True
             self.rejoined = self.candidate
-            return
-        bounds = self._range(vals, good)
-        value = vals[self.corruption.node]
-        violating = bounds is not None and (
-            value < bounds[0] - self.tolerance or value > bounds[1] + self.tolerance)
-        if violating:
+            return True
+        if bounds is not None and (value < bounds[0] - self.tolerance
+                                   or value > bounds[1] + self.tolerance):
             self.candidate = None
         elif self.candidate is None:
             self.candidate = tau
+        return False
 
     def finish(self) -> None:
         """End of run: a surviving candidate's (truncated) window is stable."""
@@ -129,7 +135,8 @@ class OnlineMeasures:
     construction; :meth:`recovery` rejects other values.
 
     Args:
-        clocks: Logical clocks by node (read at each grid point).
+        clocks: Logical clocks by node, one for every node in
+            ``range(n)`` (read at each grid point).
         corruptions: The run's audited corruption intervals (known
             upfront for plan-based adversaries).
         pi: The adversary period ``PI``.
@@ -151,41 +158,57 @@ class OnlineMeasures:
         self.recovery_settle = float(recovery_settle) if recovery_settle is not None else float(pi)
         self.index = GoodSetIndex(self.corruptions, self.pi, self.n)
         self._cursor = self.index.cursor()
+        self._mirror = ClockMirror([self.clocks[node] for node in range(self.n)])
         self._dev_taus = new_column()
         self._devs = new_column()
         self._count = 0
         self._tau0 = 0.0            # times[0] and times[1] (grid spacing)
         self._tau1 = 0.0
-        self._last_tau = 0.0
-        self._last_vals: dict[int, float] = {}
+        self._last_tau = -math.inf
+        self._last_vals: list[float] = []
         # Accuracy stretch-endpoint captures: start thresholds are the
         # possible stretch starts t1 (lo + PI per quiet gap), end
         # thresholds the corruption starts that can clip a stretch.
-        self._start_pending: dict[int, list[float]] = {}
-        self._start_ptr: dict[int, int] = {}
-        self._end_pending: dict[int, list[float]] = {}
-        self._end_ptr: dict[int, int] = {}
-        self._start_caps: dict[tuple[int, float], tuple[float, float]] = {}
-        self._end_caps: dict[tuple[int, float], tuple[float, float]] = {}
+        # Each kind is one (threshold, node) queue for all nodes, sorted
+        # descending and popped from the end; ``_next_*`` is the head's
+        # comparison value (inf once drained), so a sample on which
+        # nothing matures pays two comparisons.
+        by_node: dict[int, list[tuple[float, float]]] = {}
+        for c in self.corruptions:
+            by_node.setdefault(c.node, []).append((c.start, c.end))
+        starts: list[tuple[float, int]] = []
+        ends: list[tuple[float, int]] = []
         for node in range(self.n):
-            bad = sorted((c.start, c.end) for c in self.corruptions
-                         if c.node == node)
+            bad = sorted(by_node.get(node, ()))
             gap_los = [0.0]
             cursor = 0.0
             for start, end in bad:
                 cursor = max(cursor, end)
                 if math.isfinite(cursor):
                     gap_los.append(cursor)
-            t1s = sorted({lo + self.pi if lo > 0.0 else 0.0 for lo in gap_los})
-            t2s = sorted({start for start, _ in bad if math.isfinite(start)})
-            self._start_pending[node] = t1s
-            self._start_ptr[node] = 0
-            self._end_pending[node] = t2s
-            self._end_ptr[node] = 0
+            starts.extend((t1, node) for t1 in
+                          {lo + self.pi if lo > 0.0 else 0.0 for lo in gap_los})
+            ends.extend((t2, node) for t2 in
+                        {start for start, _ in bad if math.isfinite(start)})
+        self._start_queue = sorted(starts, reverse=True)
+        self._end_queue = sorted(ends, reverse=True)
+        self._next_start = self._start_queue[-1][0] - _EPS if starts else math.inf
+        self._next_end = self._end_queue[-1][0] + _EPS if ends else math.inf
+        self._start_caps: dict[tuple[int, float], tuple[float, float]] = {}
+        self._end_caps: dict[tuple[int, float], tuple[float, float]] = {}
+        # Recovery trackers, in corruption order (the report's order);
+        # only finite releases can ever start.  ``_waiting`` is the same
+        # trackers by descending release time (pop from the end),
+        # ``_active`` the few between their start sample and done.
         self._trackers = [
             _RecoveryTracker(c, self.recovery_tolerance, self.recovery_settle)
-            for c in self.corruptions
+            for c in self.corruptions if math.isfinite(c.end)
         ]
+        self._waiting = sorted(self._trackers, key=lambda t: t.corruption.end,
+                               reverse=True)
+        self._active: list[_RecoveryTracker] = []
+        self._next_release = (self._waiting[-1].corruption.end - _EPS
+                              if self._waiting else math.inf)
         self._events: list[RecoveryEvent] | None = None
         self._finalized = False
 
@@ -194,41 +217,96 @@ class OnlineMeasures:
     # ------------------------------------------------------------------
 
     def on_sample(self, tau: float, index: int) -> None:
-        """Observe one grid point (``tau`` non-decreasing across calls)."""
-        vals = {node: clock.read(tau) for node, clock in self.clocks.items()}
+        """Observe one grid point.
+
+        Raises:
+            MeasurementError: When ``tau`` is smaller than the previous
+                call's — every queue here only moves forward, so a
+                decreasing ``tau`` would corrupt all later reports.
+        """
+        if tau < self._last_tau:
+            raise MeasurementError(
+                f"on_sample times must not decrease: {tau} after "
+                f"{self._last_tau}")
+        vals = self._mirror.read_all(tau)
         if self._count == 0:
             self._tau0 = tau
         elif self._count == 1:
             self._tau1 = tau
         # Freeze matured last-at-or-before captures with the *previous*
-        # sample (the last one satisfying tau <= t2 + eps).
-        for node, pending in self._end_pending.items():
-            ptr = self._end_ptr[node]
-            while ptr < len(pending) and tau > pending[ptr] + _EPS:
-                self._end_caps[(node, pending[ptr])] = (self._last_tau,
-                                                        self._last_vals[node])
-                ptr += 1
-            self._end_ptr[node] = ptr
+        # sample (the last one satisfying tau <= t2 + eps); before the
+        # first sample there is none, as index_at_or_before would say.
+        if tau > self._next_end:
+            self._mature_ends(tau)
         # First-at-or-after captures trigger on the current sample.
-        for node, pending in self._start_pending.items():
-            ptr = self._start_ptr[node]
-            while ptr < len(pending) and tau >= pending[ptr] - _EPS:
-                self._start_caps[(node, pending[ptr])] = (tau, vals[node])
-                ptr += 1
-            self._start_ptr[node] = ptr
+        if tau >= self._next_start:
+            self._mature_starts(tau, vals)
 
         good = self._cursor.included_at(tau)
+        bounds = None
         if len(good) >= 2:
             gvals = [vals[node] for node in good]
+            bounds = (min(gvals), max(gvals))
             self._dev_taus.append(tau)
-            self._devs.append(max(gvals) - min(gvals))
+            self._devs.append(bounds[1] - bounds[0])
 
-        for tracker in self._trackers:
-            tracker.observe(tau, vals, good)
+        if tau >= self._next_release:
+            self._release(tau)
+        if self._active:
+            if bounds is None and good:
+                (only,) = good
+                bounds = (vals[only], vals[only])
+            self._observe_active(tau, vals, good, bounds)
 
         self._last_tau = tau
         self._last_vals = vals
         self._count += 1
+
+    def _mature_ends(self, tau: float) -> None:
+        queue = self._end_queue
+        while queue and tau > queue[-1][0] + _EPS:
+            threshold, node = queue.pop()
+            if self._count:
+                self._end_caps[(node, threshold)] = (self._last_tau,
+                                                     self._last_vals[node])
+        self._next_end = queue[-1][0] + _EPS if queue else math.inf
+
+    def _mature_starts(self, tau: float, vals: list[float]) -> None:
+        queue = self._start_queue
+        while queue and tau >= queue[-1][0] - _EPS:
+            threshold, node = queue.pop()
+            self._start_caps[(node, threshold)] = (tau, vals[node])
+        self._next_start = queue[-1][0] - _EPS if queue else math.inf
+
+    def _release(self, tau: float) -> None:
+        """Move every tracker whose release has come to the active list."""
+        waiting = self._waiting
+        while waiting and tau >= waiting[-1].corruption.end - _EPS:
+            self._active.append(waiting.pop())
+        self._next_release = (waiting[-1].corruption.end - _EPS
+                              if waiting else math.inf)
+
+    def _observe_active(self, tau: float, vals: list[float],
+                        good: frozenset[int],
+                        bounds: tuple[float, float] | None) -> None:
+        """Feed the sample to the active trackers; retire the done ones.
+
+        ``bounds`` is the whole good set's range, which *is* the range
+        a tracker measures against while its node is outside the good
+        set (the usual case: a node re-enters only PI after release).
+        """
+        retired = False
+        for tracker in self._active:
+            node = tracker.node
+            own_bounds = bounds
+            if node in good:
+                others = [vals[peer] for peer in good if peer != node]
+                own_bounds = (min(others), max(others)) if others else None
+            if tracker.observe(tau, vals[node], own_bounds):
+                retired = True
+        if retired:
+            self._active = [tracker for tracker in self._active
+                            if not (tracker.confirmed or tracker.skipped)]
 
     def finalize(self) -> None:
         """Close out end-of-run state; required before querying measures."""
@@ -237,18 +315,15 @@ class OnlineMeasures:
         horizon = self._last_tau if self._count else 0.0
         # Unmatured end-captures: every remaining threshold satisfies
         # t2 + eps >= last tau, so the final sample is the capture.
-        for node, pending in self._end_pending.items():
-            for ptr in range(self._end_ptr[node], len(pending)):
-                if self._count:
-                    self._end_caps[(node, pending[ptr])] = (
-                        self._last_tau, self._last_vals[node])
-            self._end_ptr[node] = len(pending)
+        if self._count:
+            for threshold, node in self._end_queue:
+                self._end_caps[(node, threshold)] = (self._last_tau,
+                                                     self._last_vals[node])
+        self._end_queue.clear()
         events: list[RecoveryEvent] = []
         for tracker in self._trackers:
             corruption = tracker.corruption
-            if not math.isfinite(corruption.end) or corruption.end >= horizon:
-                continue
-            if tracker.skipped:
+            if corruption.end >= horizon or tracker.skipped:
                 continue
             tracker.finish()
             events.append(RecoveryEvent(
@@ -326,7 +401,12 @@ class OnlineMeasures:
                 continue
             tau1, v1 = self._start_caps[(node, t1)]
             if t2 < horizon:
-                tau2, v2 = self._end_caps[(node, t2)]
+                capture = self._end_caps.get((node, t2))
+                if capture is None:
+                    raise MeasurementError(
+                        f"no sample at or before tau={t2}; run starts at "
+                        f"{self._tau0}")
+                tau2, v2 = capture
             else:
                 tau2, v2 = self._last_tau, self._last_vals[node]
             if tau2 <= tau1:

@@ -66,8 +66,8 @@ except ImportError:  # pragma: no cover - non-CPython fallback
 
 from repro.adversary.mobile import PlannedCorruption, audit_f_limited
 from repro.adversary.strategies import SilentStrategy
-from repro.clocks.hardware import FixedRateClock, PiecewiseRateClock
 from repro.clocks.logical import LogicalClock
+from repro.clocks.mirror import ClockMirror
 from repro.core.convergence import decide_arrays, decide_columns
 from repro.core.params import ProtocolParams
 from repro.core.sync import SyncRecord
@@ -326,7 +326,6 @@ def simulate_run(spec: VectorSpec, collect_decisions: bool = False) -> VectorRun
 
     topology = spec.topology
     neighbor_list = [topology.neighbors(node) for node in range(n)]
-    readers = [clocks[node].hardware.read for node in range(n)]
     afters = [clocks[node].hardware.real_time_after for node in range(n)]
     times_append = samples.times.append
     sample_appends = [samples.clocks[node].append for node in range(n)]
@@ -335,58 +334,18 @@ def simulate_run(spec: VectorSpec, collect_decisions: bool = False) -> VectorRun
     on_sample = stream.on_sample if stream is not None else None
 
     # -- inlined clock reads --------------------------------------------
-    # Hardware reads dominate message handling, so the per-segment
-    # linear map of the two standard clock shapes is mirrored into flat
-    # columns and evaluated inline with the *identical* float
-    # expression (``h + (tau - start) * rate``, then ``+ adj``).  Event
-    # times pop in non-decreasing order, so segments only ever advance;
-    # `_read_slow` re-anchors the columns when ``t`` crosses a segment
-    # boundary, and serves exotic clock shapes (quantized, custom) via
-    # the real ``read`` method by pinning ``ck_next`` to ``-inf``.
-    ck_h = [0.0] * n                      # segment-start hardware value
-    ck_s = [0.0] * n                      # segment-start real time
-    ck_r = [1.0] * n                      # segment rate
-    ck_next = [_INF] * n                  # real time of the next segment
-    pw_starts: list[list[float] | None] = [None] * n
-    pw_h: list[list[float] | None] = [None] * n
-    pw_rates: list[list[float] | None] = [None] * n
-    pw_idx = [0] * n
-    for node in range(n):
-        hw = clocks[node].hardware
-        hw_type = type(hw)
-        if hw_type is FixedRateClock and hw.origin == 0.0:
-            ck_h[node] = hw.offset
-            ck_s[node] = hw.origin
-            ck_r[node] = hw.rate
-        elif hw_type is PiecewiseRateClock and hw.origin == 0.0:
-            starts = hw._starts
-            pw_starts[node] = starts
-            pw_h[node] = hw._h_at_start
-            pw_rates[node] = hw._rates
-            ck_h[node] = hw._h_at_start[0]
-            ck_s[node] = starts[0]
-            ck_r[node] = hw._rates[0]
-            ck_next[node] = starts[1] if len(starts) > 1 else _INF
-        else:
-            ck_next[node] = _NEG_INF      # always take the slow path
-
-    def _read_slow(node: int, tau: float) -> float:
-        """Logical-clock read outside the cached segment (rare)."""
-        starts = pw_starts[node]
-        if starts is None:
-            return readers[node](tau) + adj[node]
-        i = pw_idx[node] + 1
-        last = len(starts) - 1
-        while i < last and tau >= starts[i + 1]:
-            i += 1
-        pw_idx[node] = i
-        ck_h[node] = h = pw_h[node][i]
-        ck_s[node] = s = starts[i]
-        ck_r[node] = r = pw_rates[node][i]
-        ck_next[node] = starts[i + 1] if i < last else _INF
-        return h + (tau - s) * r + adj[node]
-
-    read_slow = _read_slow
+    # Hardware reads dominate message handling, so every read below is
+    # inlined against the shared segment mirror (repro.clocks.mirror):
+    # the current linear piece of each clock in flat columns, evaluated
+    # with the *identical* float expression (``h + (tau - start) *
+    # rate``, then ``+ adj``).  Event times pop in non-decreasing order,
+    # which is the mirror's contract; ``read_slow`` re-anchors a clock
+    # when ``t`` crosses one of its breakpoints and serves clock shapes
+    # with no linear form (quantized, custom) through their real
+    # ``read`` (their ``ck_next`` stays ``-inf``).
+    mirror = ClockMirror([clocks[node] for node in range(n)])
+    ck_h, ck_s, ck_r, ck_next = mirror.h, mirror.s, mirror.r, mirror.next
+    read_slow = mirror.read_slow
 
     # -- per-link random streams ----------------------------------------
     # Byte-parity pins the *values*: each link/loss stream is the

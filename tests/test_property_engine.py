@@ -21,12 +21,19 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import random
 import struct
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.clocks import (
+    FixedRateClock,
+    LogicalClock,
+    PiecewiseRateClock,
+    QuantizedClock,
+)
 from repro.metrics.columns import (
     HAVE_NUMPY,
     as_column,
@@ -202,6 +209,28 @@ def _pack_series(series):
     return struct.pack(f"<{len(flat)}d", *flat)
 
 
+def _assert_stream_matches_posthoc(stream, grid, rows, clocks, corruptions,
+                                   pi, n, tolerance, warmup):
+    """Every streamed measure equals the post-hoc one over ``rows`` (the
+    readings taken at each grid instant), on every columns backend."""
+    for force_numpy in ((False, True) if HAVE_NUMPY else (False,)):
+        set_numpy(force_numpy)
+        try:
+            samples = ClockSamples(times=list(grid),
+                                   clocks={node: list(row)
+                                           for node, row in rows.items()})
+            index = GoodSetIndex(corruptions, pi, n)
+            assert _pack_series(stream.deviation_series(warmup)) == \
+                _pack_series(deviation_series(samples, corruptions, pi, n,
+                                              warmup=warmup, index=index))
+            assert stream.accuracy() == accuracy_report(
+                samples, corruptions, clocks, pi, n, index=index)
+            assert stream.recovery(tolerance, pi) == recovery_report(
+                samples, corruptions, pi, n, tolerance, pi, index=index)
+        finally:
+            set_numpy(None)
+
+
 @settings(max_examples=60, deadline=None)
 @given(data=st.data(),
        corruptions=corruption_sets(allow_infinite=False),
@@ -230,22 +259,80 @@ def test_streaming_matches_posthoc(data, corruptions, count, dt, pi,
         stream.on_sample(tau, i)
     stream.finalize()
 
-    samples = ClockSamples(
-        times=list(grid),
-        clocks={node: [clock.read(tau) for tau in grid]
-                for node, clock in clocks.items()})
-    index = GoodSetIndex(corruptions, pi, N_NODES)
+    rows = {node: [clock.read(tau) for tau in grid]
+            for node, clock in clocks.items()}
+    _assert_stream_matches_posthoc(stream, grid, rows, clocks, corruptions,
+                                   pi, N_NODES, tolerance, warmup)
 
-    posthoc_series = deviation_series(samples, corruptions, pi, N_NODES,
-                                      warmup=warmup, index=index)
-    assert _pack_series(stream.deviation_series(warmup)) == \
-        _pack_series(posthoc_series)
 
-    assert stream.accuracy() == accuracy_report(
-        samples, corruptions, clocks, pi, N_NODES, index=index)
+#: The at-scale variant: six clocks of every shape the segment mirror
+#: distinguishes, hundreds of corruption intervals.
+SCALE_NODES = 6
+SCALE_HORIZON = 60.0
 
-    assert stream.recovery(tolerance, pi) == recovery_report(
-        samples, corruptions, pi, N_NODES, tolerance, pi, index=index)
+
+def _mixed_clocks(rng, grid):
+    """One clock per shape: fixed, piecewise with a breakpoint exactly
+    *on* a grid point, quantized, origin != 0 (fixed and piecewise), and
+    a duck-typed clock without ``.hardware``."""
+    rho = 0.1
+
+    def rate():
+        return rng.uniform(1.0 / (1.0 + rho), 1.0 + rho)
+
+    on_grid = sorted(rng.sample(grid[1:], 3))
+    return {
+        0: LogicalClock(FixedRateClock(rho, rate=rate(),
+                                       offset=rng.uniform(-1, 1)),
+                        adj=rng.uniform(-1, 1)),
+        1: LogicalClock(PiecewiseRateClock(
+            rho, [(0.0, rate())] + [(t, rate()) for t in on_grid])),
+        2: LogicalClock(QuantizedClock(
+            PiecewiseRateClock(rho, [(0.0, rate()), (on_grid[1], rate())]),
+            tick=0.003)),
+        3: LogicalClock(FixedRateClock(rho, rate=rate(), offset=2.0,
+                                       origin=-1.5)),
+        4: LogicalClock(PiecewiseRateClock(
+            rho, [(-2.0, rate()), (on_grid[0], rate()),
+                  (on_grid[0] + 0.37, rate())], offset=-2.0)),
+        5: _FakeClock(rng.uniform(-1, 1), rate(), []),
+    }
+
+
+@settings(max_examples=15, deadline=None)
+@given(seed=st.integers(0, 2 ** 20),
+       count=st.integers(200, 320),
+       samples=st.integers(60, 240),
+       pi=st.floats(0.1, 4.0, allow_nan=False),
+       tolerance=st.floats(0.01, 5.0, allow_nan=False))
+def test_streaming_matches_posthoc_at_scale(seed, count, samples, pi,
+                                            tolerance):
+    """Same contract with >= 200 corruption intervals over mixed clock
+    shapes, real logical clocks being adjusted while the run streams."""
+    rng = random.Random(seed)
+    dt = SCALE_HORIZON / samples
+    grid = [i * dt for i in range(samples + 1)]
+    clocks = _mixed_clocks(rng, grid)
+    corruptions = []
+    for _ in range(count):
+        start = rng.uniform(0.0, SCALE_HORIZON)
+        end = math.inf if rng.random() < 0.02 \
+            else start + rng.uniform(0.0, 3.0)
+        corruptions.append(CorruptionInterval(
+            rng.randrange(SCALE_NODES), start, end))
+
+    stream = OnlineMeasures(clocks, corruptions, pi=pi, n=SCALE_NODES,
+                            recovery_tolerance=tolerance, recovery_settle=pi)
+    rows = {node: [] for node in clocks}
+    for i, tau in enumerate(grid):
+        if rng.random() < 0.1:          # a Sync correction between samples
+            clocks[rng.randrange(5)].adjust(tau, rng.uniform(-0.5, 0.5))
+        stream.on_sample(tau, i)
+        for node, clock in clocks.items():
+            rows[node].append(clock.read(tau))
+    stream.finalize()
+    _assert_stream_matches_posthoc(stream, grid, rows, clocks, corruptions,
+                                   pi, SCALE_NODES, tolerance, warmup=0.0)
 
 
 # ---------------------------------------------------------------------------

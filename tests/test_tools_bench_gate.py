@@ -25,6 +25,7 @@ def healthy_metrics() -> dict:
         "analysis": {
             "python": {"speedup": 20.0},
             "numpy": {"speedup": 60.0},
+            "streaming": {"speedup": 10.0},
         },
         "end_to_end": {"normalized": 4.5},
         "service": {
@@ -125,6 +126,39 @@ class TestEvaluate:
         ok, lines = bench_gate.evaluate(healthy_metrics(), stale)
         assert ok
         assert any("mega-sim" in line and "skipped" in line
+                   for line in lines)
+
+    def test_baseline_predating_streaming_speedup_is_skipped(self):
+        # baseline_pr4.json files written before PR 12 have no
+        # analysis.streaming.speedup: the comparison skips, the
+        # absolute floor still judges the measured run.
+        stale = healthy_metrics()
+        del stale["analysis"]["streaming"]
+        ok, lines = bench_gate.evaluate(healthy_metrics(), stale)
+        assert ok
+        assert any("streaming measures speedup" in line and "skipped" in line
+                   for line in lines)
+        slow = healthy_metrics()
+        slow["analysis"]["streaming"]["speedup"] = 0.6  # the pre-PR-12 figure
+        ok, lines = bench_gate.evaluate(slow, stale)
+        assert not ok
+        assert any("streaming measures speedup" in line and "FAILED" in line
+                   for line in lines)
+
+    def test_streaming_speedup_regression_fails(self):
+        metrics = healthy_metrics()
+        metrics["analysis"]["streaming"]["speedup"] = 10.0 * 0.7
+        ok, lines = bench_gate.evaluate(metrics, healthy_metrics())
+        assert not ok
+        assert any("streaming measures speedup" in line
+                   and "REGRESSION" in line for line in lines)
+
+    def test_missing_streaming_speedup_fails_its_floor(self):
+        metrics = healthy_metrics()
+        del metrics["analysis"]["streaming"]
+        ok, lines = bench_gate.evaluate(metrics, healthy_metrics())
+        assert not ok
+        assert any("analysis.streaming.speedup" in line and "missing" in line
                    for line in lines)
 
     def test_mega_speedup_floor_enforced(self):

@@ -217,6 +217,42 @@ def test_recovering_node_rejoins_identically():
     assert_exact_parity(scalar, vector)
 
 
+def test_fine_grid_record_stream_and_vector_paths_agree():
+    """A fine sampling grid (``max_wait / 5``: thousands of grid points,
+    every clock breakpoint crossed between two of them) over several
+    rotations.  The scalar sampler's record path, the scalar streaming
+    path and both vector paths all read clocks through the shared
+    segment mirror; all four must agree bit for bit."""
+    params = default_params(n=5, f=1, delta=0.002, rho=1e-3, pi=1.0,
+                            target_k=8)
+    scenario = Scenario(
+        params=params,
+        duration=40.0 * params.sync_interval,
+        seed=9,
+        plan_builder=PlanSpec(
+            kind="rotating", strategy=SILENT,
+            options={"dwell": 2.0 * params.sync_interval,
+                     "first_start": 0.5 * params.sync_interval}),
+        initial_offset_spread=5e-4,
+        sample_interval=params.max_wait / 5.0,
+        name="fine-grid-parity",
+    )
+    recorded = run(scenario)
+    streamed = run(scenario, stream_measures=True)
+    vector_recorded = run_vector(scenario)
+    vector_streamed = run_vector(scenario, stream_measures=True)
+    assert len(recorded.samples) > 5000
+    assert len(recorded.corruptions) >= 3
+    assert_exact_parity(recorded, vector_recorded)
+    assert_exact_parity(streamed, vector_streamed)
+    warmup = 2.0 * params.sync_interval
+    for result in (streamed, vector_streamed, vector_recorded):
+        assert (result.deviation_series(warmup)
+                == recorded.deviation_series(warmup))
+        assert result.accuracy() == recorded.accuracy()
+        assert result.recovery() == recorded.recovery()
+
+
 def test_run_batch_verifies_decisions_and_stacks_columns():
     """The batch self-check replays every decision through the masked
     columnar kernel, and the (batch, node) columns equal per-run state."""

@@ -16,6 +16,9 @@ verdict on a laptop and a CI runner:
   engine's throughput relative to the frozen legacy implementation
   *measured in the same process* (the legacy path doubles as a
   machine-speed yardstick);
+* ``analysis.streaming.speedup`` — :class:`OnlineMeasures` fed
+  sample by sample (clock reads, accuracy captures and recovery state
+  machines included), relative to the same legacy yardstick;
 * ``end_to_end.normalized`` — streamed-run events/sec divided by the
   same legacy yardstick;
 * ``service.normalized_qps`` — sustained time-service queries/sec
@@ -27,6 +30,8 @@ verdict on a laptop and a CI runner:
 
 On top of the baseline comparison, absolute floors are enforced: the
 python-backend speedup must stay above 5x (the PR 4 acceptance bar),
+the streaming measures above 3x the legacy path (they ran *below* it
+until PR 12 made the per-sample cost independent of the run's history),
 the time service must meet its SLO — at least 10,000 queries/sec with
 p99 latency under ``delta`` and zero failed queries (the PR 6
 acceptance bar) — and full live telemetry
@@ -94,6 +99,11 @@ MEGA_TOLERANCE = 0.40
 #: Hard floor on the python-backend analysis speedup (acceptance bar).
 SPEEDUP_FLOOR = 5.0
 
+#: Hard floor on the streaming-measures speedup over the legacy path.
+#: Measured ~10x; the pre-PR-12 per-sample loops sat at ~0.5-0.7x, so
+#: any return of history-proportional work per grid point trips this.
+STREAMING_SPEEDUP_FLOOR = 3.0
+
 #: The time-service SLO (acceptance bar): sustained queries/sec floor
 #: and the p99-latency-under-delta ratio ceiling.
 SERVICE_QPS_FLOOR = 10_000.0
@@ -120,6 +130,9 @@ GATED = [
      TOLERANCE),
     ("analysis.numpy.speedup", "analysis speedup (numpy backend)",
      TOLERANCE),
+    ("analysis.streaming.speedup",
+     "streaming measures speedup (OnlineMeasures vs legacy)",
+     TOLERANCE),
     ("end_to_end.normalized",
      "end-to-end normalized throughput (SimRuntime dispatch)",
      DISPATCH_TOLERANCE),
@@ -138,6 +151,8 @@ GATED = [
 LIMITS = [
     ("analysis.python.speedup", "python-backend analysis speedup",
      "floor", SPEEDUP_FLOOR),
+    ("analysis.streaming.speedup", "streaming measures speedup",
+     "floor", STREAMING_SPEEDUP_FLOOR),
     ("service.qps", "time-service sustained QPS", "floor",
      SERVICE_QPS_FLOOR),
     ("service.p99_vs_delta", "time-service p99 latency / delta",

@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Check that a config run is byte-for-byte reproducible.
 
-Two checks, both over the E1 headline workload (rotating
-mobile-Byzantine adversary):
+Five legs, over the E1 headline workload (rotating mobile-Byzantine
+adversary) unless noted:
 
 * **summary** — runs the config twice through
   :func:`repro.runner.campaign.run_config` and compares the JSON
@@ -14,7 +14,13 @@ mobile-Byzantine adversary):
   accumulated online, no clock trace kept) and compares the record
   byte-for-byte against the post-hoc one: the streaming engine must be
   an exact mirror of the recorded-trace pipeline, not merely
-  reproducible on its own;
+  reproducible on its own.  A second scenario repeats this on a *fine
+  grid* (``sample_interval = max_wait / 5``, several rotations of a
+  silent plan, wander clocks) and adds the vector backend in both
+  modes: the scalar sampler's record path, the scalar streaming path
+  and the vector engine all read clocks through the shared segment
+  mirror (``repro.clocks.mirror``), and the four records must be equal
+  byte for byte;
 * **vector** — replays the same seed list through the scalar and
   vector simulation backends twice each and compares all record
   serializations per seed: the batch engine must be byte-identical to
@@ -36,6 +42,7 @@ pure function of ``(config, seed)``.
 Run from the repository root:
 
     python tools/check_determinism.py           # exit 0 iff identical
+    python tools/check_determinism.py --stream  # only the named leg(s)
 
 The check is wired into tier-1 via ``tests/test_tools_determinism.py``
 so hot-path "optimizations" that silently reorder RNG draws are caught
@@ -44,6 +51,7 @@ immediately.
 
 from __future__ import annotations
 
+import argparse
 import dataclasses
 import json
 import pathlib
@@ -77,6 +85,12 @@ VECTOR_CONFIG = {
     "name": "vector-determinism",
     "plan": {"kind": "rotating", "strategy": {"name": "silent"}},
 }
+
+
+# The fine-grid stream scenario: the vector-envelope config above run
+# for six rotations on a grid of max_wait / 5 (about 15000 grid points,
+# every wander breakpoint crossed between two of them).
+FINE_GRID_DURATION = 12.0
 
 
 def summary_bytes(config: dict, stream_measures: bool = False,
@@ -153,6 +167,33 @@ def check_stream() -> bool:
           "record than the post-hoc pipeline", file=sys.stderr)
     print(f"post-hoc: {posthoc.decode()}", file=sys.stderr)
     print(f"streamed: {streamed.decode()}", file=sys.stderr)
+    return False
+
+
+def check_stream_fine_grid() -> bool:
+    """Record, stream and vector paths agree on a fine sampling grid."""
+    from repro.runner.builders import default_params
+
+    params = default_params(**VECTOR_CONFIG["params"])
+    config = dict(VECTOR_CONFIG, duration=FINE_GRID_DURATION,
+                  sample_interval=params.max_wait / 5.0,
+                  name="fine-grid-determinism")
+    runs = {
+        f"{backend}/{'stream' if stream else 'record'}":
+            summary_bytes(config, stream_measures=stream, backend=backend)
+        for backend in ("scalar", "vector") for stream in (False, True)
+    }
+    reference = runs["scalar/record"]
+    diverged = [label for label, blob in runs.items() if blob != reference]
+    if not diverged:
+        samples = int(FINE_GRID_DURATION / config["sample_interval"]) + 1
+        print(f"deterministic: fine grid ({samples} samples) scalar/vector "
+              f"x record/stream records identical ({len(reference)} bytes)")
+        return True
+    print(f"DETERMINISM FAILURE: fine-grid records diverged from "
+          f"scalar/record: {', '.join(diverged)}", file=sys.stderr)
+    for label in ["scalar/record", *diverged]:
+        print(f"  {label}: {runs[label].decode()[:400]}", file=sys.stderr)
     return False
 
 
@@ -267,12 +308,28 @@ def check_live() -> bool:
     return ok
 
 
-def main() -> int:
-    ok = check_summary()
-    ok = check_trace() and ok
-    ok = check_stream() and ok
-    ok = check_vector() and ok
-    ok = check_live() and ok
+#: Leg name -> checks, in the order a full run executes them.
+LEGS = {
+    "summary": (check_summary,),
+    "trace": (check_trace,),
+    "stream": (check_stream, check_stream_fine_grid),
+    "vector": (check_vector,),
+    "live": (check_live,),
+}
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(
+        description="Byte-for-byte reproducibility checks (default: all).")
+    for leg in LEGS:
+        parser.add_argument(f"--{leg}", action="store_true",
+                            help=f"run the {leg} leg")
+    args = parser.parse_args(argv)
+    chosen = [leg for leg in LEGS if getattr(args, leg)] or list(LEGS)
+    ok = True
+    for leg in chosen:
+        for check in LEGS[leg]:
+            ok = check() and ok
     return 0 if ok else 1
 
 
