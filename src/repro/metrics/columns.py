@@ -6,8 +6,13 @@ buffer numpy can view zero-copy).  All bulk reductions used by the
 measures are restricted to **max / min / subtraction** — operations
 that are exact in IEEE-754 regardless of evaluation order — so the
 pure-Python fallback and the numpy fast path produce *byte-identical*
-results.  numpy is a test/perf extra, never a hard dependency: it is
-auto-detected at import time and every caller degrades gracefully.
+results.  The one tie the two break differently is ``+0.0`` against
+``-0.0`` (Python's ``min``/``max`` keep the first of equal values,
+``np.minimum``/``np.maximum`` the second), so wherever a backend could
+emit ``-0.0`` the result is canonicalised with ``+ 0.0``: a zero always
+comes out as ``+0.0`` and every other value is unchanged.  numpy is a test/perf extra, never a
+hard dependency: it is auto-detected at import time and every caller
+degrades gracefully.
 
 Backend selection:
 
@@ -79,9 +84,12 @@ def spread_slice(columns: Sequence[Sequence[float]], lo: int, hi: int) -> list[f
 
     The workhorse of the deviation series: given the clock columns of a
     constant good set and a sample-index slice, return the pairwise
-    spread at each sample.  Exact: max/min pick an input bit pattern and
-    a single IEEE subtraction is deterministic, so both backends return
-    identical bytes.
+    spread at each sample.  Exact: max/min pick an input value, a single
+    IEEE subtraction is deterministic and zeros are canonicalised to
+    ``+0.0``, so both backends return identical bytes.  Only the numpy
+    path needs the ``+ 0.0``: Python's ``max`` and ``min`` both return
+    the first of tied values, so when both are zero they are the same
+    element and their difference is already ``+0.0``.
 
     Args:
         columns: At least two equal-length float sequences.
@@ -95,7 +103,7 @@ def spread_slice(columns: Sequence[Sequence[float]], lo: int, hi: int) -> list[f
                 for col in columns]
         stacked_max = _np.maximum.reduce(rows)
         stacked_min = _np.minimum.reduce(rows)
-        return (stacked_max - stacked_min).tolist()
+        return (stacked_max - stacked_min + 0.0).tolist()
     out = []
     for i in range(lo, hi):
         values = [col[i] for col in columns]
@@ -115,10 +123,11 @@ def minmax_slice(columns: Sequence[Sequence[float]], lo: int, hi: int,
                 if isinstance(col, array)
                 else _np.asarray(col, dtype=_np.float64)[lo:hi]
                 for col in columns]
-        return (_np.minimum.reduce(rows).tolist(), _np.maximum.reduce(rows).tolist())
+        return ((_np.minimum.reduce(rows) + 0.0).tolist(),
+                (_np.maximum.reduce(rows) + 0.0).tolist())
     mins, maxs = [], []
     for i in range(lo, hi):
         values = [col[i] for col in columns]
-        mins.append(min(values))
-        maxs.append(max(values))
+        mins.append(min(values) + 0.0)
+        maxs.append(max(values) + 0.0)
     return mins, maxs

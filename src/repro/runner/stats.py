@@ -134,13 +134,14 @@ def summarize_grouped(source: ResultStore | Query, key: str, column: str,
 
     The sweep-analysis staple: one CI per parameter value, e.g.
     ``summarize_grouped(store, "config.params.f",
-    "verdict.measured_deviation")``.  Groups whose rows have no present
-    ``column`` cell are omitted (instead of raising).
+    "verdict.measured_deviation")``.  Groups are those of
+    :meth:`~repro.runner.store.Query.group_by`, built in one pass; rows
+    with an absent or nan key belong to no group, and groups whose rows
+    have no present ``column`` cell are omitted (instead of raising).
     """
     query = source.query() if isinstance(source, ResultStore) else source
-    out: dict[object, ReplicationSummary] = {}
-    for group_key in sorted(set(query.values(key)), key=lambda k: (str(type(k)), str(k))):
-        values = query.where(key, "==", group_key).values(column)
-        if values:
-            out[group_key] = summarize_replications(values, confidence)
-    return out
+    groups = sorted(query.group_by(key).values(column).items(),
+                    key=lambda item: (str(type(item[0][0])), str(item[0][0])))
+    return {group_key: summarize_replications(values, confidence)
+            for (group_key,), values in groups
+            if values and group_key is not None and group_key == group_key}

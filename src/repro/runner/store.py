@@ -54,7 +54,8 @@ import os
 import pathlib
 import sys
 from array import array
-from typing import Any, Callable, Iterable, Mapping, Sequence
+from collections.abc import Mapping
+from typing import Any, Callable, Sequence
 
 from repro._version import __version__
 from repro.core.analysis import Theorem5Verdict
@@ -100,6 +101,8 @@ ABSENT = object()
 
 _KINDS = ("f8", "i8", "bool", "str", "json")
 _TYPECODES = {"f8": "d", "i8": "q", "bool": "b"}
+_CONVERT: dict[str, Callable[[Any], Any]] = {"f8": float, "i8": int,
+                                             "bool": bool}
 
 
 def set_parquet(enabled: bool | None) -> None:
@@ -152,34 +155,49 @@ class Column:
     def __len__(self) -> int:
         return len(self.mask)
 
+    def _encode(self, cells: Sequence[Any]) -> tuple[Any, bytes]:
+        """``cells`` (``ABSENT`` for a masked hole) as the ``(values,
+        mask)`` pair that extends this column; the column is untouched.
+
+        Raises:
+            StoreError: If a cell does not fit the column type.
+        """
+        mask = bytes([cell is not ABSENT for cell in cells])
+        typecode = _TYPECODES.get(self.kind)
+        if typecode is None:
+            if 0 in mask:
+                return [None if cell is ABSENT else cell for cell in cells], mask
+            return cells, mask
+        if 0 in mask:
+            cells = [0 if cell is ABSENT else cell for cell in cells]
+        convert = _CONVERT[self.kind]
+        try:
+            return array(typecode, map(convert, cells)), mask
+        except (TypeError, ValueError, OverflowError):
+            for cell in cells:
+                try:
+                    array(typecode, [convert(cell)])
+                except (TypeError, ValueError, OverflowError) as exc:
+                    raise StoreError(
+                        f"column {self.name!r}: value {cell!r} does not fit "
+                        f"the {self.kind} column type") from exc
+            raise
+
+    def _put(self, values: Any, mask: bytes) -> None:
+        self.values.extend(values)
+        self.mask += mask
+
+    def extend(self, cells: Sequence[Any]) -> None:
+        """Append ``cells`` (``ABSENT`` for a masked hole), all or none."""
+        self._put(*self._encode(cells))
+
     def append(self, value: Any) -> None:
         """Append one cell (``ABSENT`` for a masked hole)."""
-        if value is ABSENT:
-            self.mask.append(0)
-            if self.kind in _TYPECODES:
-                self.values.append(0)
-            else:
-                self.values.append(None)
-            return
-        self.mask.append(1)
-        try:
-            if self.kind == "f8":
-                self.values.append(float(value))
-            elif self.kind == "i8":
-                self.values.append(int(value))
-            elif self.kind == "bool":
-                self.values.append(1 if value else 0)
-            else:
-                self.values.append(value)
-        except OverflowError as exc:
-            raise StoreError(
-                f"column {self.name!r}: value {value!r} does not fit the "
-                f"{self.kind} column type") from exc
+        self.extend([value])
 
     def pad_to(self, n: int) -> None:
         """Backfill masked holes so the column reaches ``n`` rows."""
-        while len(self) < n:
-            self.append(ABSENT)
+        self.extend([ABSENT] * (n - len(self)))
 
     def present(self, i: int) -> bool:
         """Whether row ``i`` holds a value (vs an ABSENT hole)."""
@@ -310,22 +328,53 @@ def _canonical_config(config: Mapping[str, Any]) -> str:
     return text
 
 
-def _config_leaves(config: Mapping[str, Any]) -> Iterable[tuple[str, Any]]:
+def _config_leaves(config: Mapping[str, Any], prefix: str = "config.",
+                   leaves: list[tuple[str, Any]] | None = None,
+                   ) -> list[tuple[str, Any]]:
     """Scalar leaves of a config dict as ``config.<dotted.path>`` pairs.
 
     Dict nesting recurses; lists and other composites stay reachable
     only through ``config_json`` (they are poor query keys anyway).
     """
-    def walk(obj: Mapping[str, Any], prefix: str):
-        for key in obj:
-            if not isinstance(key, str):
-                continue
-            value = obj[key]
-            if isinstance(value, Mapping):
-                yield from walk(value, f"{prefix}{key}.")
-            elif value is None or isinstance(value, (str, int, float, bool)):
-                yield f"{prefix}{key}", value
-    yield from walk(config, "config.")
+    if leaves is None:
+        leaves = []
+    for key, value in config.items():
+        if not isinstance(key, str):
+            continue
+        if type(value) is dict:
+            _config_leaves(value, f"{prefix}{key}.", leaves)
+        elif value is None or isinstance(value, (str, int, float, bool)):
+            leaves.append((f"{prefix}{key}", value))
+        elif isinstance(value, Mapping):
+            _config_leaves(value, f"{prefix}{key}.", leaves)
+    return leaves
+
+
+def _config_columns(records: Sequence[RunRecord]) -> dict[str, list[Any]]:
+    """The ``config.*`` leaf cells of a batch, one list per column.
+
+    Columns come in row-major first-appearance order; a row without
+    the leaf holds ``ABSENT``.
+
+    Raises:
+        StoreError: If one row reaches a column through two dotted
+            paths (``{"a.b": 1, "a": {"b": 2}}``).
+    """
+    columns: dict[str, list[Any]] = {}
+    for row, record in enumerate(records):
+        config = record.config
+        if type(config) is not dict and not isinstance(config, Mapping):
+            continue
+        for name, value in _config_leaves(config):
+            cells = columns.get(name)
+            if cells is None:
+                cells = columns[name] = [ABSENT] * len(records)
+            elif cells[row] is not ABSENT:
+                raise StoreError(
+                    f"record at position {row}: config reaches column "
+                    f"{name!r} through two dotted paths")
+            cells[row] = value
+    return columns
 
 
 # ----------------------------------------------------------------------
@@ -363,34 +412,54 @@ class ResultStore:
         return store
 
     def append_records(self, records: Sequence[RunRecord]) -> None:
-        """Append runs; new columns backfill masked holes, missing ones
-        extend with masked holes (schema evolution is per-row safe)."""
-        for record in records:
-            self._append_one(record)
+        """Append runs a column at a time, all or nothing.
 
-    def _column(self, name: str, kind: str) -> Column:
+        Every cell of the batch is extracted and encoded before any
+        column changes, so a bad batch raises :class:`StoreError` and
+        leaves the store as it was.  Config columns new to the store
+        backfill masked holes for the earlier rows and are added in
+        row-major first-appearance order; columns the batch lacks extend
+        with masked holes (schema evolution is per-row safe).
+        """
+        records = list(records)
+        for position, record in enumerate(records):
+            if not isinstance(record, RunRecord):
+                raise StoreError(f"expected a RunRecord at position "
+                                 f"{position}, got {type(record).__name__}")
+        batch = {name: [extract(r) for r in records]
+                 for name, _, extract in _SCHEMA}
+        batch.update(_config_columns(records))
+        encoded = []
+        for name, cells in batch.items():
+            kind = _FIXED_KINDS.get(name, "json")
+            column = self._existing(name, kind)
+            if column is None:
+                column = Column(name, kind)
+                cells = [ABSENT] * self.n_runs + cells
+            encoded.append((column, column._encode(cells)))
+        holes = [ABSENT] * len(records)
+        encoded.extend((column, column._encode(holes))
+                       for name, column in self.columns.items()
+                       if name not in batch)
+        for column, (values, mask) in encoded:
+            column._put(values, mask)
+            self.columns.setdefault(column.name, column)
+        self.n_runs += len(records)
+
+    def _existing(self, name: str, kind: str) -> Column | None:
         column = self.columns.get(name)
-        if column is None:
-            column = Column(name, kind)
-            column.pad_to(self.n_runs)
-            self.columns[name] = column
-        elif column.kind != kind:
+        if column is not None and column.kind != kind:
             raise StoreError(
                 f"column {name!r} already exists with kind "
                 f"{column.kind!r}, not {kind!r}")
         return column
 
-    def _append_one(self, record: RunRecord) -> None:
-        if not isinstance(record, RunRecord):
-            raise StoreError(f"expected a RunRecord, got {type(record).__name__}")
-        for name, kind, extract in _SCHEMA:
-            self._column(name, kind).append(extract(record))
-        if isinstance(record.config, Mapping):
-            for name, value in _config_leaves(record.config):
-                self._column(name, "json").append(value)
-        self.n_runs += 1
-        for column in self.columns.values():
+    def _column(self, name: str, kind: str) -> Column:
+        column = self._existing(name, kind)
+        if column is None:
+            column = self.columns[name] = Column(name, kind)
             column.pad_to(self.n_runs)
+        return column
 
     # -- access --------------------------------------------------------
 
@@ -413,7 +482,16 @@ class ResultStore:
             near = [c for c in self.columns if name in c]
             hint = f"; similar: {sorted(near)[:6]}" if near else ""
             raise StoreError(f"no column {name!r}{hint}")
-        return [column.get(i) for i in range(self.n_runs)]
+        if column.kind == "bool":
+            values = list(map(bool, column.values))
+        elif column.kind in _TYPECODES:
+            values = column.values.tolist()
+        else:
+            values = list(column.values)
+        if 0 in column.mask:
+            return [value if present else None
+                    for value, present in zip(values, column.mask)]
+        return values
 
     def query(self) -> "Query":
         """A query over every run in the store."""
@@ -514,22 +592,9 @@ class ResultStore:
                 ``store_format``, or a parquet chunk without pyarrow.
         """
         directory = pathlib.Path(directory)
-        manifest_path = directory / "manifest.json"
-        try:
-            manifest = json.loads(manifest_path.read_text())
-        except FileNotFoundError:
-            raise StoreError(f"not a result store (no manifest.json): "
-                             f"{directory}") from None
-        except (OSError, json.JSONDecodeError) as exc:
-            raise StoreError(f"unreadable store manifest {manifest_path}: "
-                             f"{exc}") from None
-        fmt = manifest.get("store_format")
-        if not isinstance(fmt, int) or fmt > STORE_FORMAT:
-            raise StoreError(
-                f"store {directory} has format {fmt!r}; this build reads "
-                f"up to {STORE_FORMAT} — upgrade repro to read it")
-        store = cls(meta=manifest.get("meta", {}))
-        for entry in manifest.get("chunks", []):
+        manifest = _read_manifest(directory)
+        store = cls(meta=manifest["meta"])
+        for entry in manifest["chunks"]:
             _read_chunk(directory, entry, store)
         return store
 
@@ -537,6 +602,44 @@ class ResultStore:
 # ----------------------------------------------------------------------
 # Chunk I/O
 # ----------------------------------------------------------------------
+
+
+def _read_manifest(directory: pathlib.Path) -> dict[str, Any]:
+    """The parsed ``manifest.json`` of a store directory, with ``meta``
+    and ``chunks`` filled in.
+
+    Raises:
+        StoreError: Naming the file, when it is missing, unreadable,
+            not a JSON object, of a newer ``store_format``, or holds a
+            ``meta`` that is not an object or a chunk entry that is not
+            an object.
+    """
+    path = directory / "manifest.json"
+    try:
+        manifest = json.loads(path.read_text())
+    except FileNotFoundError:
+        raise StoreError(f"not a result store (no manifest.json): "
+                         f"{directory}") from None
+    except (OSError, ValueError) as exc:
+        raise StoreError(f"unreadable store manifest {path}: {exc}") from None
+    if not isinstance(manifest, dict):
+        raise StoreError(f"malformed store manifest {path}: a JSON "
+                         f"{type(manifest).__name__}, not an object")
+    fmt = manifest.get("store_format")
+    if not isinstance(fmt, int) or fmt > STORE_FORMAT:
+        raise StoreError(
+            f"store manifest {path} has format {fmt!r}; this build reads "
+            f"up to {STORE_FORMAT} — upgrade repro to read it")
+    manifest.setdefault("meta", {})
+    manifest.setdefault("chunks", [])
+    if not isinstance(manifest["meta"], dict):
+        raise StoreError(f"malformed store manifest {path}: meta is not "
+                         f"an object")
+    if not isinstance(manifest["chunks"], list) or not all(
+            isinstance(entry, dict) for entry in manifest["chunks"]):
+        raise StoreError(f"malformed store manifest {path}: chunks is not "
+                         f"a list of objects")
+    return manifest
 
 
 def _write_manifest(directory: pathlib.Path, chunks: list[dict[str, Any]],
@@ -577,10 +680,8 @@ def _write_chunk_core(directory: pathlib.Path, name: str,
             blobs.append(data)
             offset += len(data)
         else:
-            entry["values"] = [
-                [column.values[i]] if column.mask[i] else 0
-                for i in range(len(column))
-            ]
+            entry["values"] = [[value] if present else 0 for value, present
+                               in zip(column.values, column.mask)]
         if column.kind in _TYPECODES and 0 in column.mask:
             mask = bytes(column.mask)
             entry["mask_offset"] = offset
@@ -639,8 +740,8 @@ def _read_chunk_core(directory: pathlib.Path, name: str,
             if len(cells) != runs:
                 raise StoreError(f"chunk {name!r} column "
                                  f"{entry['name']!r} is truncated")
-            for cell in cells:
-                column.append(cell[0] if isinstance(cell, list) else ABSENT)
+            column.extend([cell[0] if isinstance(cell, list) else ABSENT
+                           for cell in cells])
     return runs
 
 
@@ -691,13 +792,10 @@ def _read_chunk_parquet(path: pathlib.Path, store: ResultStore,
         kind = kinds.get(field, "json")
         column = store._column(field, kind)
         column.pad_to(start)
-        for cell in table.column(field).to_pylist():
-            if cell is None:
-                column.append(ABSENT)
-            elif kind == "json":
-                column.append(json.loads(cell))
-            else:
-                column.append(cell)
+        decode = json.loads if kind == "json" else None
+        column.extend([ABSENT if cell is None
+                       else decode(cell) if decode else cell
+                       for cell in table.column(field).to_pylist()])
     return table.num_rows
 
 
@@ -712,22 +810,14 @@ def append_to_dir(directory: str | pathlib.Path,
     ``meta`` (when given) is merged over the stored metadata.
     """
     directory = pathlib.Path(directory)
-    manifest_path = directory / "manifest.json"
-    if not manifest_path.exists():
+    if not (directory / "manifest.json").exists():
         ResultStore.from_records(records, meta=meta).save(directory)
         return
-    manifest = json.loads(manifest_path.read_text())
-    fmt = manifest.get("store_format")
-    if not isinstance(fmt, int) or fmt > STORE_FORMAT:
-        raise StoreError(f"cannot append to store {directory} with format "
-                         f"{fmt!r} (this build writes {STORE_FORMAT})")
-    chunks = list(manifest.get("chunks", []))
-    chunk = _write_chunk(directory, len(chunks),
-                         ResultStore.from_records(records))
-    chunks.append(chunk)
-    merged = dict(manifest.get("meta", {}))
-    merged.update(meta or {})
-    _write_manifest(directory, chunks, merged)
+    manifest = _read_manifest(directory)
+    chunks = manifest["chunks"]
+    chunks.append(_write_chunk(directory, len(chunks),
+                               ResultStore.from_records(records)))
+    _write_manifest(directory, chunks, {**manifest["meta"], **(meta or {})})
 
 
 # ----------------------------------------------------------------------
@@ -842,14 +932,10 @@ class Query:
         Raises:
             StoreError: On an unknown aggregate function or column.
         """
-        result = {}
-        for out_name, (column, fn_name) in outputs.items():
-            fn = AGGREGATES.get(fn_name)
-            if fn is None:
-                raise StoreError(f"unknown aggregate {fn_name!r}; known: "
-                                 f"{sorted(AGGREGATES)}")
-            result[out_name] = fn(self.values(column))
-        return result
+        plan = _reductions(outputs)
+        present = {column: self.values(column)
+                   for column in dict.fromkeys(c for _, c, _ in plan)}
+        return {out_name: fn(present[column]) for out_name, column, fn in plan}
 
     def group_by(self, *keys: str) -> "GroupedQuery":
         """Partition the selection by the values of ``keys``."""
@@ -858,11 +944,35 @@ class Query:
         return GroupedQuery(self, keys)
 
 
+def _reductions(outputs: dict[str, tuple[str, str]]
+                ) -> list[tuple[str, str, Callable[[list], Any]]]:
+    """``(output, column, function)`` per aggregate output.
+
+    Raises:
+        StoreError: On an unknown aggregate function.
+    """
+    plan = []
+    for out_name, (column, fn_name) in outputs.items():
+        fn = AGGREGATES.get(fn_name)
+        if fn is None:
+            raise StoreError(f"unknown aggregate {fn_name!r}; known: "
+                             f"{sorted(AGGREGATES)}")
+        plan.append((out_name, column, fn))
+    return plan
+
+
 class GroupedQuery:
-    """The result of :meth:`Query.group_by`, awaiting aggregation."""
+    """The result of :meth:`Query.group_by`, awaiting aggregation.
+
+    Rows group by ``==`` on their tuple of key cells (so ``1``, ``1.0``
+    and ``True`` share a group, keyed by the first of them in row
+    order; absent cells group as ``None``; each nan is its own group).
+    Every read goes through :meth:`ResultStore.values` once per column,
+    so grouping and aggregation cost O(rows), not O(groups x rows).
+    """
 
     def __init__(self, query: Query, keys: Sequence[str]) -> None:
-        self._query = query
+        self._store = query._store
         self._keys = tuple(keys)
         key_columns = query.select(*self._keys)
         groups: dict[tuple, list[int]] = {}
@@ -874,14 +984,28 @@ class GroupedQuery:
     def __len__(self) -> int:
         return len(self._groups)
 
+    def values(self, column: str) -> dict[tuple, list[Any]]:
+        """Present cells of ``column`` per group key, in row order
+        (absent cells dropped; groups in first-appearance order)."""
+        cells = self._store.values(column)
+        return {key: [cells[i] for i in rows if cells[i] is not None]
+                for key, rows in self._groups.items()}
+
     def aggregate(self, **outputs: tuple[str, str]) -> list[dict[str, Any]]:
         """One result row per group: key columns plus the aggregates,
-        sorted by group key (deterministic across runs and paths)."""
+        sorted by group key (deterministic across runs and paths).
+
+        Raises:
+            StoreError: On an unknown aggregate function or column.
+        """
+        plan = _reductions(outputs)
+        present = {column: self.values(column)
+                   for column in dict.fromkeys(c for _, c, _ in plan)}
         rows = []
-        for key, indices in self._groups.items():
-            sub = Query(self._query._store, indices)
+        for key in self._groups:
             row = dict(zip(self._keys, key))
-            row.update(sub.aggregate(**outputs))
+            for out_name, column, fn in plan:
+                row[out_name] = fn(present[column][key])
             rows.append(row)
         rows.sort(key=lambda row: json.dumps(
             [row[k] for k in self._keys], sort_keys=True, default=str))

@@ -1,12 +1,27 @@
-"""Shared fixtures for the test suite."""
+"""Shared fixtures for the test suite.
+
+Hypothesis profiles: ``tier1`` (the default) derandomizes every
+property test and keeps no example database, so a run's verdict is a
+function of the source tree alone.  ``explore`` draws fresh random
+examples, more of them where a test does not pin ``max_examples``; it
+is the profile that finds new counterexamples, which then become
+``@example`` s.  Select it with ``--hypothesis-profile=explore``.
+"""
 
 from __future__ import annotations
 
 import pytest
+from hypothesis import settings
 
 from repro.core.params import ProtocolParams
 from repro.runner.builders import default_params
 from repro.sim.engine import Simulator
+
+settings.register_profile("tier1", derandomize=True, database=None,
+                          deadline=None)
+settings.register_profile("explore", derandomize=False, max_examples=500,
+                          deadline=None)
+settings.load_profile("tier1")
 
 
 @pytest.fixture

@@ -25,7 +25,7 @@ import random
 import struct
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.clocks import (
@@ -161,30 +161,72 @@ def test_runs_and_cursor_match_point_queries(corruptions, pi, taus):
 finite_floats = st.floats(-1e9, 1e9, allow_nan=False)
 
 
-@pytest.mark.skipif(not HAVE_NUMPY, reason="numpy backend not installed")
-@settings(max_examples=150)
-@given(data=st.data(),
-       n_cols=st.integers(2, 5),
-       length=st.integers(1, 30))
-def test_backends_byte_identical(data, n_cols, length):
-    columns = [as_column(data.draw(st.lists(finite_floats, min_size=length,
-                                            max_size=length)))
-               for _ in range(n_cols)]
-    lo = data.draw(st.integers(0, length - 1))
-    hi = data.draw(st.integers(lo + 1, length))
+@st.composite
+def column_slices(draw):
+    """``(columns, lo, hi)``: 2-5 equal-length float columns and a
+    non-empty slice of them."""
+    n_cols = draw(st.integers(2, 5))
+    length = draw(st.integers(1, 30))
+    columns = [draw(st.lists(finite_floats, min_size=length,
+                             max_size=length)) for _ in range(n_cols)]
+    lo = draw(st.integers(0, length - 1))
+    return columns, lo, draw(st.integers(lo + 1, length))
+
+
+def _pack(values) -> bytes:
+    return struct.pack(f"<{len(values)}d", *values)
+
+
+def _reductions(columns, lo, hi, numpy: bool) -> list[bytes]:
+    """Spread, min and max of the slice as bytes, on one backend."""
+    columns = [as_column(col) for col in columns]
     try:
-        set_numpy(False)
-        py_spread = spread_slice(columns, lo, hi)
-        py_min, py_max = minmax_slice(columns, lo, hi)
-        set_numpy(True)
-        np_spread = spread_slice(columns, lo, hi)
-        np_min, np_max = minmax_slice(columns, lo, hi)
+        set_numpy(numpy)
+        spread = spread_slice(columns, lo, hi)
+        mins, maxs = minmax_slice(columns, lo, hi)
     finally:
         set_numpy(None)
-    pack = lambda values: struct.pack(f"<{len(values)}d", *values)
-    assert pack(py_spread) == pack(np_spread)
-    assert pack(py_min) == pack(np_min)
-    assert pack(py_max) == pack(np_max)
+    return [_pack(spread), _pack(mins), _pack(maxs)]
+
+
+@pytest.mark.skipif(not HAVE_NUMPY, reason="numpy backend not installed")
+@settings(max_examples=150)
+@example(case=([[0.0], [-0.0]], 0, 1))
+@example(case=([[-0.0], [0.0]], 0, 1))
+@example(case=([[-0.0, 1.0], [0.0, -0.0], [-0.0, 0.0]], 0, 2))
+@given(case=column_slices())
+def test_backends_byte_identical(case):
+    columns, lo, hi = case
+    assert _reductions(columns, lo, hi, numpy=False) \
+        == _reductions(columns, lo, hi, numpy=True)
+
+
+@pytest.mark.parametrize("numpy", [
+    False,
+    pytest.param(True, marks=pytest.mark.skipif(
+        not HAVE_NUMPY, reason="numpy backend not installed")),
+])
+@pytest.mark.parametrize("columns", [
+    [[0.0], [-0.0]], [[-0.0], [0.0]], [[-0.0], [-0.0]],
+    [[-0.0], [0.0], [-0.0]],
+])
+def test_signed_zero_results_are_positive_zero(columns, numpy):
+    """Ties between ``+0.0`` and ``-0.0`` come out as ``+0.0`` on either
+    backend, whichever operand each one's min/max keeps."""
+    positive_zero = _pack([0.0])
+    assert _reductions(columns, 0, 1, numpy) == [positive_zero] * 3
+
+
+@pytest.mark.parametrize("numpy", [
+    False,
+    pytest.param(True, marks=pytest.mark.skipif(
+        not HAVE_NUMPY, reason="numpy backend not installed")),
+])
+def test_canonical_zero_leaves_other_values_alone(numpy):
+    columns = [[-0.0, 2.5, -1e-300], [-3.0, -0.0, 5e-324]]
+    assert _reductions(columns, 0, 3, numpy) == [
+        _pack([3.0, 2.5, 5e-324 + 1e-300]), _pack([-3.0, 0.0, -1e-300]),
+        _pack([0.0, 2.5, 5e-324])]
 
 
 # ---------------------------------------------------------------------------

@@ -2,14 +2,20 @@
 
 from __future__ import annotations
 
+import dataclasses
+import hashlib
 import json
 import math
+import sys
 
 import pytest
 
+from repro.core.analysis import Theorem5Verdict
+from repro.core.params import Theorem5Bounds
 from repro.errors import StoreError
+from repro.metrics.measures import AccuracyReport, RecoveryEvent, RecoveryReport
 from repro.runner.campaign import Campaign, run_config
-from repro.runner.records import RunRecord
+from repro.runner.records import RunPerf, RunRecord
 from repro.runner.store import (
     ABSENT,
     HAVE_PYARROW,
@@ -156,6 +162,154 @@ def test_values_unknown_column_names_near_misses(records):
 
 
 # ----------------------------------------------------------------------
+# Appends are all or nothing
+# ----------------------------------------------------------------------
+
+
+def assert_aligned(store: ResultStore) -> None:
+    for name, column in store.columns.items():
+        assert len(column) == store.n_runs, name
+        assert len(column.values) == store.n_runs, name
+
+
+def assert_append_refused(store, batch, match):
+    before = store.to_records()
+    names = store.column_names()
+    with pytest.raises(StoreError, match=match):
+        store.append_records(batch)
+    assert_aligned(store)
+    assert store.column_names() == names
+    assert store.to_records() == before
+
+
+def assert_next_append_round_trips(store, good):
+    before = store.to_records()
+    store.append_records([good])
+    assert_aligned(store)
+    assert store.to_records() == before + [good]
+
+
+@pytest.mark.parametrize("position", [0, 1, 2])
+def test_non_record_at_position_leaves_store_unchanged(records, position):
+    store = ResultStore.from_records(records[:2])
+    batch = list(records)
+    batch.insert(position, {"not": "a record"})
+    assert_append_refused(store, batch, f"position {position}")
+    assert_next_append_round_trips(store, records[2])
+
+
+def test_lossy_config_leaves_store_unchanged(records):
+    store = ResultStore.from_records(records[:2])
+    lossy = dataclasses.replace(records[0], config={"t": (1, 2)})
+    assert_append_refused(store, [records[2], lossy], "JSON")
+    assert_next_append_round_trips(store, records[2])
+
+
+def test_i8_overflow_leaves_store_unchanged(records):
+    store = ResultStore.from_records(records[:2])
+    huge = dataclasses.replace(records[0], seed=2 ** 70,
+                               config={**records[0].config, "new": 1})
+    assert_append_refused(store, [records[2], huge], "'seed'.*fit")
+    assert not store.has_column("config.new")
+    assert_next_append_round_trips(store, records[2])
+
+
+def test_duplicate_dotted_config_path_is_refused(records):
+    store = ResultStore.from_records(records[:2])
+    clash = dataclasses.replace(records[0],
+                                config={"a.b": 1, "a": {"b": 2}})
+    assert_append_refused(store, [records[2], clash], r"'config\.a\.b'")
+    assert not store.has_column("config.a.b")
+    assert_next_append_round_trips(store, records[2])
+
+
+# ----------------------------------------------------------------------
+# Chunk bytes are pinned
+# ----------------------------------------------------------------------
+
+
+def golden_records() -> list[RunRecord]:
+    """Fixed records touching every column kind, holes and all."""
+    bounds = Theorem5Bounds(
+        t_interval=2.5, k=10, c=0.125, max_deviation=0.0625,
+        logical_drift=1.5e-3, discontinuity=0.03125, d_half_width=0.25,
+        way_off_required=0.5, recovery_intervals=7)
+    full = RunRecord(
+        index=0, name="golden-0",
+        config={"name": "golden-0", "seed": 11,
+                "params": {"n": 7, "f": 2, "pi": 4.0, "strict": True},
+                "plan": {"kind": "rotating", "nodes": [1, 2]},
+                "note": None},
+        seed=11, duration=12.5, warmup=2.5,
+        verdict=Theorem5Verdict(
+            bounds=bounds, measured_deviation=0.0312, measured_drift=2e-4,
+            measured_discontinuity=float("inf"), deviation_ok=True,
+            drift_ok=False, discontinuity_ok=True),
+        accuracy=AccuracyReport(max_discontinuity=0.01, implied_drift=1e-4,
+                                stretches=3),
+        deviation_percentiles={50.0: 0.01, 99.0: 0.03},
+        recovery=RecoveryReport(events=[
+            RecoveryEvent(node=3, released_at=4.0, rejoined_at=5.25,
+                          initial_distance=0.75)], tolerance=0.0625),
+        envelope_occupancy=float("nan"), corruption_count=4,
+        events_processed=12345, messages_delivered=6789,
+        sync_executions=42,
+        perf=RunPerf(events_processed=12345, events_pushed=13000,
+                     events_cancelled=655, cancelled_ratio=0.05,
+                     heap_high_water=99, pending_events=0),
+        obs={"spans": 3, "tags": ["a", "b"]},
+        scalar_fallback_reason="byzantine strategy")
+    error = RunRecord(index=1, name="broken", config={"name": "broken"},
+                      seed=-5, duration=1.0, error="ValueError: boom")
+    later = dataclasses.replace(
+        full, index=2, name="golden-2", seed=2 ** 62, verdict=None,
+        perf=None, obs=None, scalar_fallback_reason=None,
+        envelope_occupancy=0.5,
+        config={**full.config, "extra": {"within_f": False, "x": -0.0}})
+    return [full, error, later]
+
+
+def chunk_digests(directory) -> dict[str, str]:
+    return {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in sorted(directory.glob("chunk-*"))}
+
+
+@pytest.mark.skipif(sys.byteorder != "little",
+                    reason="golden .bin bytes are little-endian")
+def test_chunk_bytes_are_pinned(tmp_path):
+    records = golden_records()
+    set_parquet(False)
+    try:
+        ResultStore.from_records(records).save(tmp_path / "saved")
+        append_to_dir(tmp_path / "chunked", records[:1])
+        append_to_dir(tmp_path / "chunked", records[1:])
+    finally:
+        set_parquet(None)
+    assert chunk_digests(tmp_path / "saved") == GOLDEN_SAVED
+    assert chunk_digests(tmp_path / "chunked") == GOLDEN_CHUNKED
+    assert ResultStore.load(tmp_path / "chunked").to_records()[1:] \
+        == records[1:]
+
+
+GOLDEN_SAVED = {
+    "chunk-000000.bin":
+        "1c9d30ae9261f5f2c0e7599b5253022047fd78b35331fe875de233ea2cec5bf5",
+    "chunk-000000.json":
+        "02083ef6208f87b85edfbbebafd103465d44a29c72681e00d629025d71ba03cf",
+}
+GOLDEN_CHUNKED = {
+    "chunk-000000.bin":
+        "445503dad26006e1bf9f3e4340e2dfd99c2011374e29f9c3f92c2bfe3c71c58c",
+    "chunk-000000.json":
+        "23f9a018582f39ed05fe014fc83361e5024bcc9db8c333fe9ea0e4227904b377",
+    "chunk-000001.bin":
+        "998d4a956c108fd60c3810a70bba4026692f275daf45c41700cc76930414edfb",
+    "chunk-000001.json":
+        "d6af3fe83572fd9e2182b482b1f2290a5cd14160149b0cac1eec885f6a6c0175",
+}
+
+
+# ----------------------------------------------------------------------
 # Persistence
 # ----------------------------------------------------------------------
 
@@ -195,6 +349,40 @@ def test_load_newer_format_refused(tmp_path, records):
         ResultStore.load(target)
     with pytest.raises(StoreError, match="format"):
         append_to_dir(target, records)
+
+
+def _both_entry_points_refuse(target, records) -> None:
+    chunks_before = sorted(p.name for p in target.iterdir())
+    with pytest.raises(StoreError, match="manifest.json"):
+        ResultStore.load(target)
+    with pytest.raises(StoreError, match="manifest.json"):
+        append_to_dir(target, records)
+    assert sorted(p.name for p in target.iterdir()) == chunks_before
+
+
+@pytest.mark.parametrize("keep", [0, 1, 0.25, 0.5, 0.9, -3])
+def test_truncated_manifest_is_store_error(tmp_path, records, keep):
+    target = tmp_path / "s"
+    ResultStore.from_records(records).save(target)
+    text = (target / "manifest.json").read_text()
+    cut = int(len(text) * keep) if isinstance(keep, float) else keep % len(text)
+    (target / "manifest.json").write_text(text[:cut])
+    _both_entry_points_refuse(target, records)
+
+
+@pytest.mark.parametrize("manifest", [
+    [], ["chunk-000000"], "chunks", 1, None,
+    {"store_format": 1, "chunks": [1]},
+    {"store_format": 1, "chunks": ["chunk-000000"]},
+    {"store_format": 1, "chunks": {"name": "chunk-000000"}},
+    {"store_format": 1, "chunks": [], "meta": [1, 2]},
+    {"store_format": "1", "chunks": []},
+])
+def test_malformed_manifest_is_store_error(tmp_path, records, manifest):
+    target = tmp_path / "s"
+    ResultStore.from_records(records).save(target)
+    (target / "manifest.json").write_text(json.dumps(manifest))
+    _both_entry_points_refuse(target, records)
 
 
 def test_save_replaces_stale_chunks(tmp_path, records):
