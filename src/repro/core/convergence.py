@@ -28,11 +28,6 @@ from typing import Sequence
 from repro.core.estimation import ClockEstimate
 from repro.errors import ParameterError
 
-try:  # pragma: no cover - exercised via both CI legs
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy-less environments
-    _np = None
-
 
 def kth_smallest(values: list[float], k: int) -> float:
     """The ``k+1``-st smallest value (0-indexed ``k``-th order statistic)."""
@@ -123,67 +118,6 @@ def decide_arrays(overestimates: Sequence[float], underestimates: Sequence[float
                                   m, big_m, own_discarded=False)
     # WayOff branch: the own clock is discarded outright.
     return CorrectionDecision((m + big_m) / 2.0, m, big_m, own_discarded=True)
-
-
-def decide_columns(over_rows: Sequence[Sequence[float]],
-                   under_rows: Sequence[Sequence[float]],
-                   f: int, way_off: float,
-                   ) -> tuple[list[float], list[float], list[float], list[bool]]:
-    """Batched Figure 1 decisions over ``(batch, k)`` estimate rows.
-
-    Evaluates every row's (f+1)-st order statistics and branch with
-    masked array updates on the numpy fast path (sort along the estimate
-    axis, branch masks, ``where``-selected corrections) and row-wise
-    :func:`decide_arrays` on the pure-python fallback.  Every operation
-    used — sort selection, comparison, ``min``/``max`` against 0,
-    addition and halving — is exact in IEEE-754, so both paths return
-    byte-identical floats.
-
-    Used by the batch engine's cross-run decision verification and the
-    decision micro-benchmark; within one run the decisions stay
-    sequential (each Sync round reads clocks already corrected by the
-    previous round), so the batch axis here is across runs/rounds, never
-    within one.
-
-    Returns:
-        ``(corrections, ms, big_ms, own_discarded)`` — one entry per row.
-    """
-    if not over_rows:
-        return [], [], [], []
-    k = len(over_rows[0])
-    if any(len(row) != k for row in over_rows) or \
-            any(len(row) != k for row in under_rows):
-        raise ParameterError("decide_columns requires rectangular estimate rows")
-    if k < 2 * f + 1:
-        raise ParameterError(
-            f"need at least 2f+1={2 * f + 1} estimates to tolerate f={f}; got {k}"
-        )
-    if _np is not None:
-        from repro.metrics.columns import numpy_active
-        use_numpy = numpy_active()
-    else:
-        use_numpy = False
-    if use_numpy:
-        over = _np.sort(_np.asarray(over_rows, dtype=_np.float64), axis=1)
-        under = _np.sort(_np.asarray(under_rows, dtype=_np.float64), axis=1)
-        m = over[:, f]
-        big_m = under[:, k - 1 - f]
-        finite = _np.isfinite(m) & _np.isfinite(big_m)
-        credible = (m >= -way_off) & (big_m <= way_off)
-        averaged = (_np.minimum(m, 0.0) + _np.maximum(big_m, 0.0)) / 2.0
-        jumped = (m + big_m) / 2.0
-        corrections = _np.where(finite, _np.where(credible, averaged, jumped), 0.0)
-        own_discarded = finite & ~credible
-        return (corrections.tolist(), m.tolist(), big_m.tolist(),
-                own_discarded.tolist())
-    corrections, ms, big_ms, discarded = [], [], [], []
-    for over_row, under_row in zip(over_rows, under_rows):
-        decision = decide_arrays(over_row, under_row, f, way_off)
-        corrections.append(decision.correction)
-        ms.append(decision.m)
-        big_ms.append(decision.big_m)
-        discarded.append(decision.own_discarded)
-    return corrections, ms, big_ms, discarded
 
 
 class ConvergenceFunction:

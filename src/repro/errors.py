@@ -68,9 +68,9 @@ class StoreError(ReproError):
     """A result store could not be built, persisted, or loaded.
 
     Examples: a record whose config does not round-trip through JSON,
-    a store directory written by a newer format version, a parquet
-    chunk in an environment without pyarrow, or a query naming a
-    column the store does not have.
+    a store directory written by a newer format version, a chunk of an
+    unknown format, or a query naming a column the store does not
+    have.
     """
 
 

@@ -17,7 +17,6 @@ from repro.net.links import (
     UniformDelay,
     register_delay_model,
 )
-from repro.net.message import AppPayload, Message, Ping, Pong
 from repro.net.network import Network
 from repro.net.topology import (
     TOPOLOGIES,
@@ -31,10 +30,6 @@ from repro.net.topology import (
 )
 
 __all__ = [
-    "Message",
-    "Ping",
-    "Pong",
-    "AppPayload",
     "Network",
     "Topology",
     "TopologySpec",

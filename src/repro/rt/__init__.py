@@ -23,9 +23,15 @@ from repro.rt.codec import (
     WIRE_VERSION,
     CodecVersionError,
     PayloadSpec,
+    TransportError,
+    decode_datagram,
+    decode_payload,
+    encode_datagram,
     encode_datagram_binary,
     encode_datagram_json,
+    encode_payload,
     pack_payload,
+    register_payload,
     registered_payloads,
     unpack_payload,
 )
@@ -38,17 +44,7 @@ from repro.rt.live import (
     run_live,
 )
 from repro.rt.runtime import AsyncioRuntime, RtTimerHandle
-from repro.rt.transport import (
-    LoopbackTransport,
-    Transport,
-    TransportError,
-    UdpTransport,
-    decode_datagram,
-    decode_payload,
-    encode_datagram,
-    encode_payload,
-    register_payload,
-)
+from repro.rt.transport import LoopbackTransport, Transport, UdpTransport
 from repro.rt.virtualtime import ScheduledCall, VirtualTimeLoop
 
 __all__ = [

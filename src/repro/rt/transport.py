@@ -16,10 +16,7 @@ point-to-point channels, delivery within ``delta``) for the rt path:
   message it receives"); a production deployment would MAC each
   datagram under a pairwise key.
 
-The wire codec itself lives in :mod:`repro.rt.codec`; its entry points
-(:func:`register_payload`, :func:`encode_datagram`,
-:func:`decode_datagram`, ...) are re-exported here for compatibility
-with pre-codec deployments.
+The wire codec itself lives in :mod:`repro.rt.codec`.
 """
 
 from __future__ import annotations
@@ -33,25 +30,15 @@ from repro.rt.codec import (
     CodecVersionError,
     TransportError,
     decode_datagram,
-    decode_payload,
     encode_datagram,
-    encode_payload,
-    register_payload,
 )
 from repro.runtime.api import MessageHandler
 from repro.runtime.messages import Message
 
 __all__ = [
-    "CodecVersionError",
     "LoopbackTransport",
     "Transport",
-    "TransportError",
     "UdpTransport",
-    "decode_datagram",
-    "decode_payload",
-    "encode_datagram",
-    "encode_payload",
-    "register_payload",
 ]
 
 

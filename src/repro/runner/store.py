@@ -29,13 +29,8 @@ Numeric columns are raw ``array.tobytes()`` slices of the ``.bin`` file
 (byte order recorded per chunk and swapped on foreign-endian load);
 string/JSON columns live in the chunk JSON.  Appending runs writes one
 new chunk plus a small manifest rewrite — no existing bytes are
-touched.  When pyarrow is installed (the ``repro[parquet]`` extra) and
-active, chunks are written as ``.parquet`` row groups instead — the
-fast path mirrors the numpy seam in :mod:`repro.metrics.columns`:
-auto-detected, forceable via :func:`set_parquet`, never a hard
-dependency, and aggregate results are byte-identical across both
-paths (both feed the same Python reduction code with the same float
-bytes).
+touched.  This ``"core"`` layout is the only chunk format; a manifest
+naming any other is refused with :class:`~repro.errors.StoreError`.
 
 Querying (no pandas)::
 
@@ -64,13 +59,6 @@ from repro.errors import StoreError
 from repro.metrics.measures import AccuracyReport, RecoveryEvent, RecoveryReport
 from repro.runner.records import RunPerf, RunRecord
 
-try:  # pragma: no cover - exercised only with the parquet extra
-    import pyarrow as _pa
-    import pyarrow.parquet as _pq
-except ImportError:  # pragma: no cover - default environment
-    _pa = None
-    _pq = None
-
 __all__ = [
     "ResultStore",
     "Column",
@@ -78,9 +66,6 @@ __all__ = [
     "GroupedQuery",
     "ABSENT",
     "STORE_FORMAT",
-    "HAVE_PYARROW",
-    "set_parquet",
-    "parquet_active",
     "append_to_dir",
     "AGGREGATES",
 ]
@@ -88,12 +73,6 @@ __all__ = [
 #: Bumped when the on-disk layout changes incompatibly.  Loaders refuse
 #: *newer* formats with a clear error and accept every older one.
 STORE_FORMAT = 1
-
-#: Whether pyarrow was importable in this environment.
-HAVE_PYARROW = _pa is not None
-
-#: Tri-state override: None = auto (use parquet iff pyarrow available).
-_FORCED_PARQUET: bool | None = None
 
 #: Marker for "this run has no value in this column" (distinct from a
 #: present ``None``, which JSON columns can hold).
@@ -103,29 +82,6 @@ _KINDS = ("f8", "i8", "bool", "str", "json")
 _TYPECODES = {"f8": "d", "i8": "q", "bool": "b"}
 _CONVERT: dict[str, Callable[[Any], Any]] = {"f8": float, "i8": int,
                                              "bool": bool}
-
-
-def set_parquet(enabled: bool | None) -> None:
-    """Force the chunk format: True/False, or None for auto-detect.
-
-    Mirrors :func:`repro.metrics.columns.set_numpy`.
-
-    Raises:
-        StoreError: When forcing parquet in an environment without
-            pyarrow.
-    """
-    global _FORCED_PARQUET
-    if enabled is True and not HAVE_PYARROW:
-        raise StoreError("cannot force the parquet path: pyarrow is not "
-                         "installed (pip install repro[parquet])")
-    _FORCED_PARQUET = enabled
-
-
-def parquet_active() -> bool:
-    """Whether new chunks will be written as parquet right now."""
-    if _FORCED_PARQUET is None:
-        return HAVE_PYARROW
-    return _FORCED_PARQUET
 
 
 # ----------------------------------------------------------------------
@@ -585,11 +541,12 @@ class ResultStore:
 
     @classmethod
     def load(cls, directory: str | pathlib.Path) -> "ResultStore":
-        """Load a store directory (all chunks, both formats).
+        """Load a store directory (all chunks).
 
         Raises:
             StoreError: On a missing/corrupt manifest, a newer
-                ``store_format``, or a parquet chunk without pyarrow.
+                ``store_format``, or a chunk of a format other than
+                ``"core"``.
         """
         directory = pathlib.Path(directory)
         manifest = _read_manifest(directory)
@@ -660,15 +617,6 @@ def _write_chunk(directory: pathlib.Path, index: int,
     """Write one chunk holding all of ``store``'s rows; return its
     manifest entry."""
     name = f"chunk-{index:06d}"
-    if parquet_active():
-        _write_chunk_parquet(directory / f"{name}.parquet", store)
-        return {"name": name, "runs": store.n_runs, "format": "parquet"}
-    _write_chunk_core(directory, name, store)
-    return {"name": name, "runs": store.n_runs, "format": "core"}
-
-
-def _write_chunk_core(directory: pathlib.Path, name: str,
-                      store: ResultStore) -> None:
     blobs: list[bytes] = []
     offset = 0
     entries: list[dict[str, Any]] = []
@@ -693,25 +641,15 @@ def _write_chunk_core(directory: pathlib.Path, name: str,
               "columns": entries}
     (directory / f"{name}.json").write_text(
         json.dumps(header, sort_keys=True) + "\n")
+    return {"name": name, "runs": store.n_runs, "format": "core"}
 
 
-def _read_chunk(directory: pathlib.Path, entry: dict[str, Any],
+def _read_chunk(directory: pathlib.Path, chunk: dict[str, Any],
                 store: ResultStore) -> None:
-    name, fmt = entry.get("name"), entry.get("format", "core")
-    start = store.n_runs
-    if fmt == "parquet":
-        runs = _read_chunk_parquet(directory / f"{name}.parquet", store, start)
-    elif fmt == "core":
-        runs = _read_chunk_core(directory, name, store, start)
-    else:
+    name, fmt = chunk.get("name"), chunk.get("format", "core")
+    if fmt != "core":
         raise StoreError(f"chunk {name!r} has unknown format {fmt!r}")
-    store.n_runs = start + runs
-    for column in store.columns.values():
-        column.pad_to(store.n_runs)
-
-
-def _read_chunk_core(directory: pathlib.Path, name: str,
-                     store: ResultStore, start: int) -> int:
+    start = store.n_runs
     try:
         header = json.loads((directory / f"{name}.json").read_text())
         blob = (directory / f"{name}.bin").read_bytes()
@@ -742,61 +680,9 @@ def _read_chunk_core(directory: pathlib.Path, name: str,
                                  f"{entry['name']!r} is truncated")
             column.extend([cell[0] if isinstance(cell, list) else ABSENT
                            for cell in cells])
-    return runs
-
-
-def _write_chunk_parquet(path: pathlib.Path, store: ResultStore) -> None:
-    if not HAVE_PYARROW:  # pragma: no cover - guarded by parquet_active
-        raise StoreError("parquet chunk requested but pyarrow is not "
-                         "installed (pip install repro[parquet])")
-    arrays, fields = [], []
+    store.n_runs = start + runs
     for column in store.columns.values():
-        cells = [column.get(i) for i in range(len(column))]
-        if column.kind == "json":
-            # Encode present cells as JSON text so a present None stays
-            # distinguishable from an absent cell (arrow null).
-            cells = [None if not column.present(i)
-                     else json.dumps(column.values[i], sort_keys=True)
-                     for i in range(len(column))]
-            arrow_type = _pa.string()
-        elif column.kind == "f8":
-            arrow_type = _pa.float64()
-        elif column.kind == "i8":
-            arrow_type = _pa.int64()
-        elif column.kind == "bool":
-            arrow_type = _pa.bool_()
-        else:
-            arrow_type = _pa.string()
-        arrays.append(_pa.array(cells, type=arrow_type))
-        fields.append(_pa.field(column.name, arrow_type))
-    kinds = {c.name: c.kind for c in store.columns.values()}
-    schema = _pa.schema(fields, metadata={
-        b"repro_kinds": json.dumps(kinds, sort_keys=True).encode(),
-        b"repro_store_format": str(STORE_FORMAT).encode(),
-    })
-    _pq.write_table(_pa.Table.from_arrays(arrays, schema=schema), path)
-
-
-def _read_chunk_parquet(path: pathlib.Path, store: ResultStore,
-                        start: int) -> int:
-    if not HAVE_PYARROW:
-        raise StoreError(f"store chunk {path.name} is parquet but pyarrow "
-                         f"is not installed (pip install repro[parquet])")
-    try:
-        table = _pq.read_table(path)
-    except (OSError, _pa.ArrowInvalid) as exc:  # pragma: no cover - corrupt file
-        raise StoreError(f"unreadable parquet chunk {path}: {exc}") from None
-    metadata = table.schema.metadata or {}
-    kinds = json.loads(metadata.get(b"repro_kinds", b"{}"))
-    for field in table.schema.names:
-        kind = kinds.get(field, "json")
-        column = store._column(field, kind)
-        column.pad_to(start)
-        decode = json.loads if kind == "json" else None
-        column.extend([ABSENT if cell is None
-                       else decode(cell) if decode else cell
-                       for cell in table.column(field).to_pylist()])
-    return table.num_rows
+        column.pad_to(store.n_runs)
 
 
 def append_to_dir(directory: str | pathlib.Path,
@@ -826,8 +712,7 @@ def append_to_dir(directory: str | pathlib.Path,
 
 #: Aggregate functions usable in :meth:`Query.aggregate` /
 #: :meth:`GroupedQuery.aggregate`.  All reduce present cells in row
-#: order with plain Python arithmetic, so results are identical no
-#: matter which on-disk path (core or parquet) produced the columns.
+#: order with plain Python arithmetic.
 AGGREGATES: dict[str, Callable[[list], Any]] = {
     "count": len,
     "sum": lambda vals: sum(vals),

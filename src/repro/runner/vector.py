@@ -20,12 +20,11 @@ from repro.runner.scenario import Scenario
 from repro.sim.vector import (
     VectorSpec,
     VectorUnsupported,
-    run_batch,
     simulate_run,
 )
 
 __all__ = ["vector_spec", "scalar_only_reason", "run_vector",
-           "run_vector_report", "run_batch"]
+           "run_vector_report"]
 
 
 def scalar_only_reason(scenario: Scenario) -> str | None:

@@ -10,8 +10,7 @@ controlling strategy) can send as that node.
 
 These types live in :mod:`repro.runtime` rather than :mod:`repro.net`
 because they are part of the protocol/engine seam: protocol code may
-depend on them, transport code constructs them.  :mod:`repro.net.message`
-re-exports them for compatibility.
+depend on them, transport code constructs them.
 """
 
 from __future__ import annotations

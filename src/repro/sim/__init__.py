@@ -13,11 +13,9 @@ from repro.sim.events import Event, EventQueue
 from repro.sim.rng import RngRegistry, derive_seed
 from repro.sim.runtime import LocalTimer, SimRuntime
 from repro.sim.vector import (
-    BatchResult,
     VectorRunOutput,
     VectorSpec,
     VectorUnsupported,
-    run_batch,
     simulate_run,
 )
 from repro.runtime.process import Process
@@ -35,7 +33,5 @@ __all__ = [
     "VectorSpec",
     "VectorRunOutput",
     "VectorUnsupported",
-    "BatchResult",
     "simulate_run",
-    "run_batch",
 ]

@@ -23,12 +23,9 @@ second, while remaining **byte-identical** to the scalar reference:
 Per-node protocol state lives in flat struct-of-arrays columns: one
 ``array('d')`` row of ``(distance, accuracy)`` per (node, peer) pair, a
 ``bytearray`` reply mask, and per-node adjustment/ session/round
-columns.  :func:`run_batch` stacks many runs and exposes final clock
-state as ``(batch, node)`` columns (:mod:`repro.metrics.columns`), and
-can re-verify every recorded :class:`ConvergenceDecision` of the whole
-batch in one masked-array :func:`~repro.core.convergence.decide_columns`
-call — the numpy fast path and the pure-python fallback agree
-byte-for-byte.
+columns.  Every Sync completion calls the one Figure 1 kernel,
+:func:`~repro.core.convergence.decide_arrays`, that the scalar engine
+calls too, so the two engines agree on decisions by construction.
 
 The engine supports the *vector envelope*: the ``"sync"`` protocol with
 its default convergence function, any clock model / topology / delay
@@ -41,19 +38,15 @@ else raises :class:`VectorUnsupported`, and the runner-side wrapper
 
 Within one run, Sync decisions are inherently sequential — each round's
 ping/pong estimates read clocks already corrected by the previous
-round — so the per-run loop applies the scalar decision kernel round by
-round; the batch axis for masked array updates is across runs/rounds
-(verification, summaries, benchmarks), never within one round's
-dependency chain.  DESIGN.md §12 documents the layout and the masking
-rules.
+round — so the per-run loop applies the decision kernel round by
+round, and a batch of runs is :func:`simulate_run` called once per
+spec.  DESIGN.md §12 documents the layout.
 """
 
 from __future__ import annotations
 
-import gc
 import math
-from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from bisect import insort
 from hashlib import sha256
 from time import perf_counter
@@ -68,7 +61,7 @@ from repro.adversary.mobile import PlannedCorruption, audit_f_limited
 from repro.adversary.strategies import SilentStrategy
 from repro.clocks.logical import LogicalClock
 from repro.clocks.mirror import ClockMirror
-from repro.core.convergence import decide_arrays, decide_columns
+from repro.core.convergence import decide_arrays
 from repro.core.params import ProtocolParams
 from repro.core.sync import SyncRecord
 from repro.errors import AdversaryError, SimulationError
@@ -84,10 +77,7 @@ __all__ = [
     "VectorUnsupported",
     "VectorSpec",
     "VectorRunOutput",
-    "DecisionLog",
-    "BatchResult",
     "simulate_run",
-    "run_batch",
 ]
 
 _INF = math.inf
@@ -163,25 +153,6 @@ class VectorSpec:
 
 
 @dataclass
-class DecisionLog:
-    """Every convergence decision of one run, as raw array rows.
-
-    ``over_rows[i]`` / ``under_rows[i]`` are the estimate views passed
-    to the decision kernel for the ``i``-th Sync completion (run-global
-    event order); the remaining columns are the kernel's outputs.  Used
-    by :func:`run_batch` to re-verify the whole batch through the
-    batched :func:`~repro.core.convergence.decide_columns` kernel.
-    """
-
-    over_rows: list[list[float]] = field(default_factory=list)
-    under_rows: list[list[float]] = field(default_factory=list)
-    corrections: list[float] = field(default_factory=list)
-    ms: list[float] = field(default_factory=list)
-    big_ms: list[float] = field(default_factory=list)
-    own_discarded: list[bool] = field(default_factory=list)
-
-
-@dataclass
 class VectorRunOutput:
     """Everything the runner needs to assemble a ``RunResult``.
 
@@ -199,49 +170,13 @@ class VectorRunOutput:
     events_processed: int
     messages_delivered: int
     perf: EnginePerfCounters
-    decisions: DecisionLog | None = None
 
 
-@dataclass
-class BatchResult:
-    """One vectorized batch: per-run outputs plus struct-of-arrays state.
-
-    Attributes:
-        outputs: One :class:`VectorRunOutput` per input spec, in order.
-        final_clock_columns: ``(batch, node)`` logical-clock readings at
-            each run's horizon — node-keyed float columns with one entry
-            per run.  Empty when the specs mix different ``n``.
-        final_adj_columns: ``(batch, node)`` final adjustment columns,
-            same layout.
-        events_processed: Total events executed across the batch.
-        wall_time: Wall-clock seconds for the whole batch.
-        decisions_verified: Number of convergence decisions re-verified
-            through :func:`~repro.core.convergence.decide_columns`
-            (0 unless ``check_decisions`` was requested).
-    """
-
-    outputs: list[VectorRunOutput]
-    final_clock_columns: dict[int, array]
-    final_adj_columns: dict[int, array]
-    events_processed: int
-    wall_time: float
-    decisions_verified: int = 0
-
-    def events_per_second(self) -> float:
-        """Batch-level effective throughput (events / wall seconds)."""
-        if self.wall_time <= 0.0:
-            return 0.0
-        return self.events_processed / self.wall_time
-
-
-def simulate_run(spec: VectorSpec, collect_decisions: bool = False) -> VectorRunOutput:
+def simulate_run(spec: VectorSpec) -> VectorRunOutput:
     """Execute one run of the vector envelope, byte-identical to scalar.
 
     Args:
         spec: Resolved scenario inputs.
-        collect_decisions: Record every decision's estimate rows and
-            outputs in a :class:`DecisionLog` (memory-proportional to
-            the number of Sync completions; off for benchmarks).
 
     Raises:
         VectorUnsupported: When the spec falls outside the envelope
@@ -384,7 +319,6 @@ def simulate_run(spec: VectorSpec, collect_decisions: bool = False) -> VectorRun
     way_off = params.way_off
     max_wait = params.max_wait
     decide = decide_arrays
-    log = DecisionLog() if collect_decisions else None
 
     # -- calendar event queue: exact heap order, O(1) amortized ---------
     # Replays the scalar heap's total order exactly.  Events are
@@ -738,13 +672,6 @@ def simulate_run(spec: VectorSpec, collect_decisions: bool = False) -> VectorRun
                                decision.correction, decision.m,
                                decision.big_m, decision.own_discarded,
                                replies))
-            if log is not None:
-                log.over_rows.append(overs)
-                log.under_rows.append(unders)
-                log.corrections.append(decision.correction)
-                log.ms.append(decision.m)
-                log.big_ms.append(decision.big_m)
-                log.own_discarded.append(decision.own_discarded)
             fire = afters[o](t, sync_interval)
             event = (fire, nseq, _ALARM, o)
             b = int(fire * inv_w)
@@ -784,95 +711,5 @@ def simulate_run(spec: VectorSpec, collect_decisions: bool = False) -> VectorRun
         events_processed=fired,
         messages_delivered=delivered,
         perf=perf,
-        decisions=log,
     )
 
-
-def run_batch(specs: Sequence[VectorSpec],
-              check_decisions: bool = False) -> BatchResult:
-    """Run many independent specs as one batch in a single process.
-
-    Each run executes through :func:`simulate_run` (runs are
-    independent, but their internal event schedules are data-dependent,
-    so they cannot share one heap); the batch layer stacks the final
-    per-node clock state into ``(batch, node)`` struct-of-arrays columns
-    and, with ``check_decisions``, re-evaluates **every** recorded
-    convergence decision of the whole batch through the masked
-    :func:`~repro.core.convergence.decide_columns` kernel, asserting
-    float-exact agreement with the corrections the runs applied.
-
-    Raises:
-        SimulationError: When the batched kernel disagrees with a
-            sequentially applied decision (would indicate a backend
-            divergence bug — this is the batch self-check).
-    """
-    outputs: list[VectorRunOutput] = []
-    # The hot loop's allocations are balanced (every event tuple pushed
-    # is popped and dropped), so cyclic-gc passes triggered by the sheer
-    # allocation *rate* find nothing and only cost time.  Batches own
-    # their process slot, so suspend collection for the duration.
-    gc_was_enabled = gc.isenabled()
-    gc.disable()
-    wall_start = perf_counter()
-    try:
-        for spec in specs:
-            outputs.append(
-                simulate_run(spec, collect_decisions=check_decisions))
-    finally:
-        wall = perf_counter() - wall_start
-        if gc_was_enabled:
-            gc.enable()
-
-    clock_columns: dict[int, array] = {}
-    adj_columns: dict[int, array] = {}
-    sizes = {len(output.clocks) for output in outputs}
-    if len(sizes) == 1 and outputs:
-        n = sizes.pop()
-        clock_columns = {node: new_column() for node in range(n)}
-        adj_columns = {node: new_column() for node in range(n)}
-        for spec, output in zip(specs, outputs):
-            horizon = spec.duration
-            for node in range(n):
-                clock = output.clocks[node]
-                clock_columns[node].append(clock.read(horizon))
-                adj_columns[node].append(clock.adj)
-
-    verified = 0
-    if check_decisions:
-        # Group rows by width (mixed-degree topologies and mixed specs
-        # produce different estimate counts), one batched kernel call
-        # per group.
-        grouped: dict[tuple[int, int, float], list[tuple[list[float], list[float], float, float, float, bool]]] = {}
-        for spec, output in zip(specs, outputs):
-            log = output.decisions
-            if log is None:
-                continue
-            for i, over_row in enumerate(log.over_rows):
-                group_key = (len(over_row), spec.params.f, spec.params.way_off)
-                grouped.setdefault(group_key, []).append(
-                    (over_row, log.under_rows[i], log.corrections[i],
-                     log.ms[i], log.big_ms[i], log.own_discarded[i]))
-        for (width, f, way_off), rows in grouped.items():
-            over_rows = [row[0] for row in rows]
-            under_rows = [row[1] for row in rows]
-            corrections, ms, big_ms, discarded = decide_columns(
-                over_rows, under_rows, f, way_off)
-            for i, row in enumerate(rows):
-                if (corrections[i] != row[2] or ms[i] != row[3]
-                        or big_ms[i] != row[4] or discarded[i] != row[5]):
-                    raise SimulationError(
-                        f"batched decision kernel diverged from the applied "
-                        f"decision: row width {width}, f={f}: "
-                        f"({corrections[i]!r}, {ms[i]!r}, {big_ms[i]!r}, "
-                        f"{discarded[i]!r}) != ({row[2]!r}, {row[3]!r}, "
-                        f"{row[4]!r}, {row[5]!r})")
-                verified += 1
-
-    return BatchResult(
-        outputs=outputs,
-        final_clock_columns=clock_columns,
-        final_adj_columns=adj_columns,
-        events_processed=sum(output.events_processed for output in outputs),
-        wall_time=wall,
-        decisions_verified=verified,
-    )

@@ -6,7 +6,10 @@ import from ``repro`` and the traced run wraps named callables with
 refactor renames is skipped there, and its layer metrics then read 0
 with no error.  This test parses the benchmark sources (without running
 them) and resolves every such import and target, so a rename fails here
-instead.
+instead.  The legacy benchmarks, the tools and the examples import
+``repro`` from outside too; their imports are resolved the same way, so
+a deletion that misses one of them fails here rather than only when the
+script runs.
 """
 
 from __future__ import annotations
@@ -17,8 +20,15 @@ import pathlib
 
 import pytest
 
-PERF = pathlib.Path(__file__).resolve().parents[1] / "benchmarks" / "perf"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+PERF = ROOT / "benchmarks" / "perf"
 SOURCES = sorted(PERF.glob("*.py"))
+SCRIPTS = sorted(path for folder in ("benchmarks", "tools", "examples")
+                 for path in (ROOT / folder).glob("*.py"))
+
+
+def source_id(path: pathlib.Path) -> str:
+    return path.name if path.parent == PERF else str(path.relative_to(ROOT))
 
 
 def patch_targets(tree: ast.AST) -> list[tuple[int, str]]:
@@ -68,6 +78,7 @@ def resolve(target: str) -> None:
 
 def test_sources_found():
     assert any(path.name == "store_workload.py" for path in SOURCES)
+    assert any(path.name == "bench_engine.py" for path in SCRIPTS)
 
 
 @pytest.mark.parametrize("source", SOURCES, ids=lambda path: path.name)
@@ -79,7 +90,7 @@ def test_tracer_patch_targets_resolve(source):
             pytest.fail(f"{source.name}:{line}: {target}: {exc}")
 
 
-@pytest.mark.parametrize("source", SOURCES, ids=lambda path: path.name)
+@pytest.mark.parametrize("source", SOURCES + SCRIPTS, ids=source_id)
 def test_repro_imports_resolve(source):
     for node in ast.walk(ast.parse(source.read_text())):
         if isinstance(node, ast.ImportFrom) and node.level == 0 \

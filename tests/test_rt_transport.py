@@ -9,16 +9,15 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.runtime.messages import AppPayload, Message, Ping, Pong
-from repro.rt.transport import (
-    LoopbackTransport,
+from repro.rt.codec import (
     TransportError,
-    UdpTransport,
     decode_datagram,
     decode_payload,
     encode_datagram,
     encode_payload,
     register_payload,
 )
+from repro.rt.transport import LoopbackTransport, UdpTransport
 from repro.rt.virtualtime import VirtualTimeLoop
 
 

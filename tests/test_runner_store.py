@@ -18,13 +18,10 @@ from repro.runner.campaign import Campaign, run_config
 from repro.runner.records import RunPerf, RunRecord
 from repro.runner.store import (
     ABSENT,
-    HAVE_PYARROW,
     STORE_FORMAT,
     Column,
     ResultStore,
     append_to_dir,
-    parquet_active,
-    set_parquet,
 )
 
 
@@ -278,13 +275,9 @@ def chunk_digests(directory) -> dict[str, str]:
                     reason="golden .bin bytes are little-endian")
 def test_chunk_bytes_are_pinned(tmp_path):
     records = golden_records()
-    set_parquet(False)
-    try:
-        ResultStore.from_records(records).save(tmp_path / "saved")
-        append_to_dir(tmp_path / "chunked", records[:1])
-        append_to_dir(tmp_path / "chunked", records[1:])
-    finally:
-        set_parquet(None)
+    ResultStore.from_records(records).save(tmp_path / "saved")
+    append_to_dir(tmp_path / "chunked", records[:1])
+    append_to_dir(tmp_path / "chunked", records[1:])
     assert chunk_digests(tmp_path / "saved") == GOLDEN_SAVED
     assert chunk_digests(tmp_path / "chunked") == GOLDEN_CHUNKED
     assert ResultStore.load(tmp_path / "chunked").to_records()[1:] \
@@ -417,30 +410,16 @@ def test_nan_and_inf_survive_disk(tmp_path):
     assert not back.recovery.all_recovered
 
 
-def test_parquet_seam_gating():
-    if HAVE_PYARROW:
-        set_parquet(True)
-        assert parquet_active()
-        set_parquet(None)
-    else:
-        with pytest.raises(StoreError, match="pyarrow"):
-            set_parquet(True)
-        set_parquet(False)
-        assert not parquet_active()
-        set_parquet(None)
-        assert not parquet_active()
-
-
-@pytest.mark.skipif(not HAVE_PYARROW, reason="pyarrow not installed")
-def test_parquet_round_trip(tmp_path, records):
-    set_parquet(True)
-    try:
-        store = ResultStore.from_records(records)
-        store.save(tmp_path / "s")
-        assert (tmp_path / "s" / "chunk-000000.parquet").exists()
-        assert ResultStore.load(tmp_path / "s").to_records() == list(records)
-    finally:
-        set_parquet(None)
+def test_unknown_chunk_format_is_store_error(tmp_path, records):
+    target = tmp_path / "s"
+    append_to_dir(target, records[:1])
+    append_to_dir(target, records[1:])
+    manifest = json.loads((target / "manifest.json").read_text())
+    manifest["chunks"][1]["format"] = "parquet"
+    (target / "manifest.json").write_text(json.dumps(manifest))
+    with pytest.raises(StoreError,
+                       match="'chunk-000001' has unknown format 'parquet'"):
+        ResultStore.load(target)
 
 
 # ----------------------------------------------------------------------

@@ -3,9 +3,8 @@
 Hypothesis drives randomized records through the columnar store — in
 memory and across the on-disk chunk format — asserting float-exact
 measures and ``==``-equal config dicts on the way back.  A companion
-suite asserts that store aggregates are byte-identical between the
-pure-python chunk path and the pyarrow/parquet fast path (skip-gated
-on pyarrow), and that a 1000-run campaign summarized through the store
+suite asserts that store aggregates survive a disk round trip
+unchanged, and that a 1000-run campaign summarized through the store
 matches the legacy per-run ``runner.stats`` path bit for bit.
 """
 
@@ -14,7 +13,6 @@ from __future__ import annotations
 import dataclasses
 import math
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -28,7 +26,7 @@ from repro.runner.stats import (
     summarize_grouped,
     summarize_replications,
 )
-from repro.runner.store import HAVE_PYARROW, ResultStore, set_parquet
+from repro.runner.store import ResultStore
 
 # Finite-or-infinite floats: nan is excluded because dataclass equality
 # (the round-trip oracle) is nan-blind; nan persistence has its own
@@ -174,28 +172,6 @@ def test_aggregates_identical_across_disk_round_trip(records,
     store.save(target)
     assert _aggregate_everywhere(ResultStore.load(target)) \
         == _aggregate_everywhere(store)
-
-
-@pytest.mark.skipif(not HAVE_PYARROW, reason="pyarrow not installed")
-@settings(max_examples=20, deadline=None)
-@given(records=records_st)
-def test_aggregates_byte_identical_python_vs_parquet(records,
-                                                     tmp_path_factory):
-    """The two on-disk paths must answer every aggregate identically."""
-    store = ResultStore.from_records(records)
-    core_dir = tmp_path_factory.mktemp("core")
-    parquet_dir = tmp_path_factory.mktemp("parquet")
-    try:
-        set_parquet(False)
-        store.save(core_dir)
-        set_parquet(True)
-        store.save(parquet_dir)
-    finally:
-        set_parquet(None)
-    core = _aggregate_everywhere(ResultStore.load(core_dir))
-    parquet = _aggregate_everywhere(ResultStore.load(parquet_dir))
-    assert core == parquet
-    assert ResultStore.load(parquet_dir).to_records() == records
 
 
 # ----------------------------------------------------------------------

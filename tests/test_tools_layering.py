@@ -54,13 +54,13 @@ def test_collector_skips_type_checking_blocks():
         "from typing import TYPE_CHECKING\n"
         "if TYPE_CHECKING:\n"
         "    from repro.runner.scenario import Scenario\n"
-        "from repro.net.message import Message\n"
+        "from repro.runtime.messages import Message\n"
     )
-    collector = tool.ImportCollector("repro.sim.process")
+    collector = tool.ImportCollector("repro.sim.runtime")
     collector.visit(ast.parse(source))
     targets = [t for _, t in collector.imports]
     assert "repro.runner.scenario" not in targets
-    assert "repro.net.message" in targets
+    assert "repro.runtime.messages" in targets
 
 
 def test_collector_resolves_relative_imports():

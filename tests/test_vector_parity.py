@@ -28,8 +28,7 @@ from repro.net.topology import TopologySpec
 from repro.runner.builders import default_params
 from repro.runner.experiment import RunResult, run
 from repro.runner.scenario import Scenario
-from repro.runner.vector import run_vector, scalar_only_reason, vector_spec
-from repro.sim.vector import run_batch
+from repro.runner.vector import run_vector, scalar_only_reason
 
 SILENT = StrategySpec(name="silent")
 
@@ -253,33 +252,6 @@ def test_fine_grid_record_stream_and_vector_paths_agree():
         assert result.recovery() == recorded.recovery()
 
 
-def test_run_batch_verifies_decisions_and_stacks_columns():
-    """The batch self-check replays every decision through the masked
-    columnar kernel, and the (batch, node) columns equal per-run state."""
-    params = default_params(n=5, f=1, delta=0.002, rho=1e-3, pi=1.0,
-                            target_k=8)
-    scenarios = [
-        Scenario(params=params, duration=4.0 * params.sync_interval,
-                 seed=seed,
-                 plan_builder=PlanSpec(kind="rotating", strategy=SILENT),
-                 initial_offset_spread=5e-4, name=f"batch-{seed}")
-        for seed in range(6)
-    ]
-    specs = [vector_spec(s, stream_measures=True) for s in scenarios]
-    batch = run_batch(specs, check_decisions=True)
-    assert batch.decisions_verified > 0
-    assert batch.events_processed == sum(
-        output.events_processed for output in batch.outputs)
-    assert set(batch.final_clock_columns) == set(range(params.n))
-    for index, (scenario, output) in enumerate(zip(scenarios,
-                                                   batch.outputs)):
-        for node in range(params.n):
-            clock = output.clocks[node]
-            assert (batch.final_clock_columns[node][index]
-                    == clock.read(scenario.duration))
-            assert batch.final_adj_columns[node][index] == clock.adj
-
-
 def test_out_of_envelope_scenario_falls_back_to_scalar():
     """A non-silent strategy is outside the envelope: the vector entry
     point must hand back a result identical to the scalar engine's."""
@@ -310,12 +282,3 @@ def test_record_messages_is_scalar_only():
     assert scalar_only_reason(scenario) is not None
     vector = run_vector(scenario)
     assert vector.trace.messages  # the scalar fallback recorded traffic
-
-
-def test_empty_batch_is_rejected_or_trivial():
-    """run_batch on zero specs returns an empty, consistent result."""
-    batch = run_batch([])
-    assert batch.outputs == []
-    assert batch.events_processed == 0
-    assert batch.final_clock_columns == {}
-    assert batch.events_per_second() == 0.0
