@@ -229,7 +229,7 @@ def measure():
     # Streaming: all three reports byte-identical to the post-hoc path.
     stream, stream_sps = results["streaming"], throughput["streaming"]
     index = GoodSetIndex(corruptions, pi, n)
-    assert _series_bytes(stream.deviation_series()) == _series_bytes(python_series), \
+    assert _series_bytes(stream.deviations.series()) == _series_bytes(python_series), \
         "streamed deviation series diverged from the post-hoc series"
     assert stream.accuracy() == accuracy_report(
         samples, corruptions, clocks, pi, n, index=index), \

@@ -10,16 +10,14 @@ from repro.sim.engine import EnginePerfCounters
 from repro.metrics.columns import HAVE_NUMPY, backend_name, numpy_active, set_numpy
 from repro.metrics.measures import (
     AccuracyReport,
+    DeviationSeries,
     RecoveryEvent,
     RecoveryReport,
     accuracy_report,
-    deviation_percentiles,
     deviation_series,
-    envelope_occupancy,
     good_stretches,
-    max_deviation,
     recovery_report,
-    series_percentiles,
+    stretch_accuracy,
 )
 from repro.metrics.export import result_to_dict, write_result
 from repro.metrics.plots import bias_plane, sparkline, strip_chart
@@ -50,14 +48,12 @@ __all__ = [
     "set_numpy",
     "good_set",
     "faulty_at",
+    "DeviationSeries",
     "deviation_series",
-    "deviation_percentiles",
-    "envelope_occupancy",
-    "series_percentiles",
-    "max_deviation",
     "accuracy_report",
     "AccuracyReport",
     "good_stretches",
+    "stretch_accuracy",
     "recovery_report",
     "RecoveryReport",
     "RecoveryEvent",

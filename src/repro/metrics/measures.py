@@ -2,9 +2,10 @@
 
 Three families of measures, one per requirement:
 
-* **Synchronization** — :func:`deviation_series` / :func:`max_deviation`:
-  the maximum clock difference over the Definition 3 good set, per
-  sample and overall (checked against Theorem 5(i)).
+* **Synchronization** — :class:`DeviationSeries`: the maximum clock
+  difference over the Definition 3 good set, per sample, read out as a
+  series, its maximum (checked against Theorem 5(i)), percentiles and
+  envelope occupancy.
 * **Accuracy** — :func:`accuracy_report`: measured logical drift and
   discontinuity over good stretches (checked against Theorem 5(ii)).
 * **Recovery** — :func:`recovery_report`: for every adversary release,
@@ -18,6 +19,12 @@ prebuilt index via the ``index`` keyword so one sweep serves the whole
 report.  Results are bit-identical to evaluating the Definition 3
 predicates per sample over row-oriented lists — the property suite
 enforces this.
+
+The streaming path (:class:`~repro.metrics.streaming.OnlineMeasures`)
+differs from this one only in how it *collects* its inputs: it fills a
+:class:`DeviationSeries` sample by sample, and hands
+:func:`stretch_accuracy` — the one Definition 3(ii) read-out — its own
+stretch-endpoint lookup.
 """
 
 from __future__ import annotations
@@ -25,10 +32,10 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 
 from repro.errors import MeasurementError
-from repro.metrics.columns import spread_slice
+from repro.metrics.columns import new_column, spread_slice
 from repro.metrics.sampler import ClockSamples, CorruptionInterval, GoodSetIndex
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -39,49 +46,113 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 # Synchronization (Definition 3 i)
 # ----------------------------------------------------------------------
 
+class DeviationSeries:
+    """The good-set deviation series of one run and its read-outs.
+
+    ``devs[i]`` is the clock spread over the good set at sample time
+    ``taus[i]`` (samples with fewer than two good nodes are absent).  A
+    deviation does not depend on where a warmup cuts the series, so each
+    read-out is a bisected suffix of the one series, whether it was
+    measured post hoc (:meth:`measure`) or appended to during the run.
+    """
+
+    __slots__ = ("taus", "devs")
+
+    def __init__(self) -> None:
+        self.taus = new_column()
+        self.devs = new_column()
+
+    @classmethod
+    def measure(cls, samples: ClockSamples,
+                corruptions: Sequence[CorruptionInterval], pi: float, n: int,
+                *, index: GoodSetIndex | None = None) -> "DeviationSeries":
+        """The series over recorded samples.
+
+        Reduces each constant run of the good-set index in one batch
+        instead of re-deriving the good set per sample.
+
+        Args:
+            samples: Grid samples of every clock.
+            corruptions: Audited corruption intervals.
+            pi: The adversary period ``PI`` (defines the good set window).
+            n: Total number of processors.
+            index: Prebuilt :class:`GoodSetIndex` for these corruptions
+                (built on the fly when omitted).
+        """
+        if index is None:
+            index = GoodSetIndex(corruptions, pi, n)
+        series = cls()
+        times = samples.times
+        for lo, hi, good in index.runs(times):
+            if len(good) < 2:
+                continue
+            series.taus.extend(times[lo:hi])
+            series.devs.extend(spread_slice(
+                [samples.clocks[node] for node in good], lo, hi))
+        return series
+
+    def _devs_after(self, warmup: float):
+        return self.devs[bisect.bisect_left(self.taus, warmup):]
+
+    def series(self, warmup: float = 0.0) -> list[tuple[float, float]]:
+        """``(tau, deviation)`` per sample after ``warmup``."""
+        lo = bisect.bisect_left(self.taus, warmup)
+        return list(zip(self.taus[lo:], self.devs[lo:]))
+
+    def max(self, warmup: float = 0.0) -> float:
+        """Maximum deviation after ``warmup`` (Theorem 5(i) subject)."""
+        devs = self._devs_after(warmup)
+        if not devs:
+            raise MeasurementError("no samples with a non-trivial good set after warmup")
+        return max(devs)
+
+    def percentiles(self, warmup: float = 0.0,
+                    percentiles: Sequence[float] = (50.0, 95.0, 99.0, 100.0),
+                    ) -> dict[float, float]:
+        """Nearest-rank percentiles of the deviations after ``warmup``.
+
+        The paper's bounds are worst-case; practical protocols are judged
+        on typical behaviour too ("practical protocols ... may provide
+        better results in typical cases", Section 5), so the median and
+        tails go beside the max that Theorem 5(i) bounds.
+
+        Raises:
+            MeasurementError: On an empty series or a percentile
+                outside ``(0, 100]``.
+        """
+        ordered = sorted(self._devs_after(warmup))
+        if not ordered:
+            raise MeasurementError("no deviation samples after warmup")
+        result: dict[float, float] = {}
+        for p in percentiles:
+            if not (0.0 < p <= 100.0):
+                raise MeasurementError(f"percentile must be in (0, 100], got {p}")
+            rank = max(0, math.ceil(p / 100.0 * len(ordered)) - 1)
+            result[p] = ordered[rank]
+        return result
+
+    def occupancy(self, bound: float, warmup: float = 0.0) -> float:
+        """Fraction of deviations after ``warmup`` within ``bound + 1e-12``.
+
+        The Theorem 5(i) *envelope occupancy* (1.0 for a clean run; the
+        verdict only reports whether the max stayed inside), ``nan`` on
+        an empty series.
+        """
+        devs = self._devs_after(warmup)
+        if not devs:
+            return math.nan
+        return sum(1 for dev in devs if dev <= bound + 1e-12) / len(devs)
+
+
 def deviation_series(samples: ClockSamples, corruptions: Sequence[CorruptionInterval],
                      pi: float, n: int, warmup: float = 0.0, *,
                      index: GoodSetIndex | None = None) -> list[tuple[float, float]]:
-    """Per-sample maximum clock deviation over the good set.
+    """Per-sample maximum clock deviation over the good set after ``warmup``.
 
-    Iterates the good-set index's constant runs and reduces each run's
-    columns in one batch, instead of re-deriving the good set per
-    sample.
-
-    Args:
-        samples: Grid samples of every clock.
-        corruptions: Audited corruption intervals.
-        pi: The adversary period ``PI`` (defines the good set window).
-        n: Total number of processors.
-        warmup: Skip samples before this real time (initial convergence).
-        index: Prebuilt :class:`GoodSetIndex` for these corruptions
-            (built on the fly when omitted).
-
-    Returns:
-        ``(tau, max |C_p - C_q| over good p, q)`` per retained sample;
-        samples whose good set has fewer than two members are skipped.
+    Shorthand for ``DeviationSeries.measure(...).series(warmup)``.
     """
-    if index is None:
-        index = GoodSetIndex(corruptions, pi, n)
-    times = samples.times
-    start = bisect.bisect_left(times, warmup)
-    series: list[tuple[float, float]] = []
-    for lo, hi, good in index.runs(times, start):
-        if len(good) < 2:
-            continue
-        columns = [samples.clocks[node] for node in good]
-        series.extend(zip(times[lo:hi], spread_slice(columns, lo, hi)))
-    return series
-
-
-def max_deviation(samples: ClockSamples, corruptions: Sequence[CorruptionInterval],
-                  pi: float, n: int, warmup: float = 0.0, *,
-                  index: GoodSetIndex | None = None) -> float:
-    """Maximum good-set deviation over the run (Theorem 5(i) subject)."""
-    series = deviation_series(samples, corruptions, pi, n, warmup, index=index)
-    if not series:
-        raise MeasurementError("no samples with a non-trivial good set after warmup")
-    return max(dev for _, dev in series)
+    return DeviationSeries.measure(samples, corruptions, pi, n,
+                                   index=index).series(warmup)
 
 
 # ----------------------------------------------------------------------
@@ -140,11 +211,13 @@ def good_stretches(corruptions: Sequence[CorruptionInterval], pi: float, n: int,
     return stretches
 
 
-def accuracy_report(samples: ClockSamples, corruptions: Sequence[CorruptionInterval],
-                    clocks: dict[int, "LogicalClock"], pi: float, n: int,
-                    min_span: float = 0.0, *,
-                    index: GoodSetIndex | None = None) -> AccuracyReport:
-    """Measure discontinuity and implied logical drift over good stretches.
+def stretch_accuracy(clocks: Mapping[int, "LogicalClock"],
+                     corruptions: Sequence[CorruptionInterval], pi: float,
+                     n: int, index: GoodSetIndex, horizon: float,
+                     spacing: float, min_span: float,
+                     endpoints: Callable[[int, float, float], tuple]
+                     ) -> AccuracyReport:
+    """The Definition 3(ii) read-out shared by both measurement paths.
 
     ``alpha`` (discontinuity) is taken as the largest adjustment a node
     applied while not faulty.  Given that ``alpha``, the implied drift is
@@ -152,21 +225,21 @@ def accuracy_report(samples: ClockSamples, corruptions: Sequence[CorruptionInter
     stretch's endpoints.
 
     Args:
-        samples: Grid samples.
-        corruptions: Audited corruption intervals.
         clocks: Logical clocks (for their adjustment histories).
+        corruptions: Audited corruption intervals.
         pi: Adversary period.
         n: Number of processors.
+        index: The :class:`GoodSetIndex` for these corruptions.
+        horizon: Time of the last sample (stretches are clipped to it).
+        spacing: Grid spacing ``times[1] - times[0]`` (``0.0`` with one
+            sample); a stretch must span two of it to be measured.
         min_span: Ignore stretches shorter than this (drift estimates
             over tiny spans are dominated by the discontinuity term).
-        index: Prebuilt :class:`GoodSetIndex` for these corruptions.
+        endpoints: ``endpoints(node, t1, t2)`` gives the ``(tau,
+            clock value)`` of ``node`` at the first sample at or after
+            ``t1`` and at the last at or before ``t2`` (within
+            ``1e-12``), or raises :class:`MeasurementError`.
     """
-    if not samples.times:
-        raise MeasurementError("cannot measure accuracy with no samples")
-    if index is None:
-        index = GoodSetIndex(corruptions, pi, n)
-    horizon = samples.times[-1]
-
     alpha = 0.0
     for node, clock in clocks.items():
         for tau, delta, _ in clock.adjustments:
@@ -178,20 +251,17 @@ def accuracy_report(samples: ClockSamples, corruptions: Sequence[CorruptionInter
                 continue
             alpha = max(alpha, abs(delta))
 
+    floor = max(min_span, 2 * spacing)
     implied = 0.0
     measured = 0
     for node, t1, t2 in good_stretches(corruptions, pi, n, horizon):
-        if t2 - t1 < max(min_span, 2 * (samples.times[1] - samples.times[0]) if len(samples.times) > 1 else 0.0):
+        if t2 - t1 < floor:
             continue
-        i1 = samples.index_at_or_after(t1)
-        # The end sample must not cross into the next corruption (the
-        # break-in may scramble the clock at exactly t2).
-        i2 = samples.index_at_or_before(t2) if t2 < horizon else len(samples.times) - 1
-        tau1, tau2 = samples.times[i1], samples.times[i2]
+        (tau1, value1), (tau2, value2) = endpoints(node, t1, t2)
         if tau2 <= tau1:
             continue
         span = tau2 - tau1
-        advance = samples.clocks[node][i2] - samples.clocks[node][i1]
+        advance = value2 - value1
         measured += 1
         # eq. (3): advance <= span * (1 + rho~) + alpha
         #          advance >= span / (1 + rho~) - alpha
@@ -200,6 +270,43 @@ def accuracy_report(samples: ClockSamples, corruptions: Sequence[CorruptionInter
         implied = max(implied, up, down, 0.0)
 
     return AccuracyReport(max_discontinuity=alpha, implied_drift=implied, stretches=measured)
+
+
+def accuracy_report(samples: ClockSamples, corruptions: Sequence[CorruptionInterval],
+                    clocks: dict[int, "LogicalClock"], pi: float, n: int,
+                    min_span: float = 0.0, *,
+                    index: GoodSetIndex | None = None) -> AccuracyReport:
+    """Measure discontinuity and implied logical drift over good stretches.
+
+    :func:`stretch_accuracy` over recorded samples.
+
+    Args:
+        samples: Grid samples.
+        corruptions: Audited corruption intervals.
+        clocks: Logical clocks (for their adjustment histories).
+        pi: Adversary period.
+        n: Number of processors.
+        min_span: Ignore stretches shorter than this.
+        index: Prebuilt :class:`GoodSetIndex` for these corruptions.
+    """
+    times = samples.times
+    if not times:
+        raise MeasurementError("cannot measure accuracy with no samples")
+    if index is None:
+        index = GoodSetIndex(corruptions, pi, n)
+
+    def endpoints(node: int, t1: float, t2: float):
+        # The end sample must not cross into the next corruption (the
+        # break-in may scramble the clock at exactly t2); at t2 ==
+        # horizon this is the last sample.
+        i1 = samples.index_at_or_after(t1)
+        i2 = samples.index_at_or_before(t2)
+        values = samples.clocks[node]
+        return (times[i1], values[i1]), (times[i2], values[i2])
+
+    spacing = times[1] - times[0] if len(times) > 1 else 0.0
+    return stretch_accuracy(clocks, corruptions, pi, n, index, times[-1],
+                            spacing, min_span, endpoints)
 
 
 # ----------------------------------------------------------------------
@@ -345,73 +452,3 @@ def _stably_within(samples: ClockSamples, index: GoodSetIndex, node: int,
         if value < bounds[0] - tolerance or value > bounds[1] + tolerance:
             return False
     return True
-
-
-def deviation_percentiles(samples: ClockSamples,
-                          corruptions: Sequence[CorruptionInterval],
-                          pi: float, n: int, warmup: float = 0.0,
-                          percentiles: Sequence[float] = (50.0, 95.0, 99.0, 100.0),
-                          *, index: GoodSetIndex | None = None,
-                          ) -> dict[float, float]:
-    """Percentiles of the good-set deviation series.
-
-    The paper's bounds are worst-case; practical protocols are judged on
-    typical behaviour too ("practical protocols ... may provide better
-    results in typical cases", Section 5).  This reports both: the
-    median/tails of the per-sample deviation alongside the max that
-    Theorem 5(i) bounds.
-
-    Args:
-        percentiles: Values in ``(0, 100]``; 100 is the maximum.
-        index: Prebuilt :class:`GoodSetIndex` for these corruptions.
-
-    Raises:
-        MeasurementError: On an empty series or bad percentile.
-    """
-    series = [dev for _, dev in deviation_series(samples, corruptions, pi, n,
-                                                 warmup, index=index)]
-    if not series:
-        raise MeasurementError("no deviation samples after warmup")
-    return series_percentiles(series, percentiles)
-
-
-def envelope_occupancy(deviations: Sequence[float], bound: float,
-                       slack: float = 1e-12) -> float:
-    """Fraction of deviation samples within ``bound + slack``.
-
-    The Theorem 5(i) *envelope occupancy*: how much of the run the
-    good-set deviation actually spent inside the guaranteed envelope
-    (1.0 for a clean run; the verdict only reports whether the max
-    stayed inside).  Shared by the post-hoc and streaming paths so both
-    report byte-identical occupancy.
-
-    Returns:
-        ``nan`` on an empty series (no occupancy to speak of).
-    """
-    total = len(deviations)
-    if total == 0:
-        return math.nan
-    inside = sum(1 for dev in deviations if dev <= bound + slack)
-    return inside / total
-
-
-def series_percentiles(series: Sequence[float],
-                       percentiles: Sequence[float] = (50.0, 95.0, 99.0, 100.0),
-                       ) -> dict[float, float]:
-    """Percentiles of a raw deviation series (nearest-rank method).
-
-    Shared by the post-hoc path (:func:`deviation_percentiles`) and the
-    streaming path (:class:`~repro.metrics.streaming.OnlineMeasures`),
-    so both report byte-identical tails.
-
-    Raises:
-        MeasurementError: On a percentile outside ``(0, 100]``.
-    """
-    ordered = sorted(series)
-    result: dict[float, float] = {}
-    for p in percentiles:
-        if not (0.0 < p <= 100.0):
-            raise MeasurementError(f"percentile must be in (0, 100], got {p}")
-        rank = max(0, math.ceil(p / 100.0 * len(ordered)) - 1)
-        result[p] = ordered[rank]
-    return result

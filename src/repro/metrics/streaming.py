@@ -23,8 +23,12 @@ adversary), and each post-hoc lookup has an online mirror:
   machine (confirm is checked *before* the violation test, because a
   sample past the settle window is outside the candidate's window).
 
-The property suite and ``tools/check_determinism.py --stream`` enforce
-the contract end to end.
+The read-outs themselves are not mirrored but shared: the deviation
+series is a :class:`~repro.metrics.measures.DeviationSeries` and the
+accuracy report comes from
+:func:`~repro.metrics.measures.stretch_accuracy` fed the captures
+above.  The property suite and ``tools/check_determinism.py --stream``
+enforce the contract end to end.
 
 **Cost model**: a grid point costs what it must and nothing that grows
 with the run's history — one read per clock (through the shared
@@ -38,20 +42,18 @@ this event-driven form preserves the three mirrors above.
 
 from __future__ import annotations
 
-import bisect
 import math
 from typing import TYPE_CHECKING, Sequence
 
 from repro.clocks.mirror import ClockMirror
 from repro.errors import MeasurementError
-from repro.metrics.columns import new_column
 from repro.metrics.measures import (
     AccuracyReport,
+    DeviationSeries,
     RecoveryEvent,
     RecoveryReport,
-    envelope_occupancy,
     good_stretches,
-    series_percentiles,
+    stretch_accuracy,
 )
 from repro.metrics.sampler import CorruptionInterval, GoodSetIndex
 
@@ -126,9 +128,11 @@ class OnlineMeasures:
 
     Wire :meth:`on_sample` into :class:`~repro.metrics.sampler.ClockSampler`
     (``on_sample=``), run the simulation, call :meth:`finalize`, then
-    query the same measure surface :class:`~repro.runner.experiment.RunResult`
-    exposes.  Reports are byte-identical to the post-hoc path (see the
-    module docstring for why).
+    read :attr:`deviations` (the same
+    :class:`~repro.metrics.measures.DeviationSeries` the post-hoc path
+    measures), :meth:`accuracy` and :meth:`recovery`.  Reports are
+    byte-identical to the post-hoc path (see the module docstring for
+    why).
 
     The recovery state machines need their thresholds *during* the run,
     so ``recovery_tolerance``/``recovery_settle`` are fixed at
@@ -159,41 +163,29 @@ class OnlineMeasures:
         self.index = GoodSetIndex(self.corruptions, self.pi, self.n)
         self._cursor = self.index.cursor()
         self._mirror = ClockMirror([self.clocks[node] for node in range(self.n)])
-        self._dev_taus = new_column()
-        self._devs = new_column()
+        #: The deviation series, appended to on every sample.
+        self.deviations = DeviationSeries()
         self._count = 0
         self._tau0 = 0.0            # times[0] and times[1] (grid spacing)
         self._tau1 = 0.0
         self._last_tau = -math.inf
         self._last_vals: list[float] = []
-        # Accuracy stretch-endpoint captures: start thresholds are the
-        # possible stretch starts t1 (lo + PI per quiet gap), end
-        # thresholds the corruption starts that can clip a stretch.
+        # Accuracy stretch-endpoint captures: the starts ``t1`` and the
+        # finite ends ``t2`` of the good stretches of an endless run —
+        # every stretch a finite horizon leaves is one of those, clipped.
         # Each kind is one (threshold, node) queue for all nodes, sorted
         # descending and popped from the end; ``_next_*`` is the head's
         # comparison value (inf once drained), so a sample on which
         # nothing matures pays two comparisons.
-        by_node: dict[int, list[tuple[float, float]]] = {}
-        for c in self.corruptions:
-            by_node.setdefault(c.node, []).append((c.start, c.end))
-        starts: list[tuple[float, int]] = []
-        ends: list[tuple[float, int]] = []
-        for node in range(self.n):
-            bad = sorted(by_node.get(node, ()))
-            gap_los = [0.0]
-            cursor = 0.0
-            for start, end in bad:
-                cursor = max(cursor, end)
-                if math.isfinite(cursor):
-                    gap_los.append(cursor)
-            starts.extend((t1, node) for t1 in
-                          {lo + self.pi if lo > 0.0 else 0.0 for lo in gap_los})
-            ends.extend((t2, node) for t2 in
-                        {start for start, _ in bad if math.isfinite(start)})
-        self._start_queue = sorted(starts, reverse=True)
-        self._end_queue = sorted(ends, reverse=True)
-        self._next_start = self._start_queue[-1][0] - _EPS if starts else math.inf
-        self._next_end = self._end_queue[-1][0] + _EPS if ends else math.inf
+        stretches = good_stretches(self.corruptions, self.pi, self.n, math.inf)
+        self._start_queue = sorted({(t1, node) for node, t1, _ in stretches},
+                                   reverse=True)
+        self._end_queue = sorted({(t2, node) for node, _, t2 in stretches
+                                  if t2 < math.inf}, reverse=True)
+        self._next_start = (self._start_queue[-1][0] - _EPS
+                            if self._start_queue else math.inf)
+        self._next_end = (self._end_queue[-1][0] + _EPS
+                          if self._end_queue else math.inf)
         self._start_caps: dict[tuple[int, float], tuple[float, float]] = {}
         self._end_caps: dict[tuple[int, float], tuple[float, float]] = {}
         # Recovery trackers, in corruption order (the report's order);
@@ -247,8 +239,9 @@ class OnlineMeasures:
         if len(good) >= 2:
             gvals = [vals[node] for node in good]
             bounds = (min(gvals), max(gvals))
-            self._dev_taus.append(tau)
-            self._devs.append(bounds[1] - bounds[0])
+            series = self.deviations
+            series.taus.append(tau)
+            series.devs.append(bounds[1] - bounds[0])
 
         if tau >= self._next_release:
             self._release(tau)
@@ -341,85 +334,30 @@ class OnlineMeasures:
                 "OnlineMeasures.finalize() must run before querying measures")
 
     # ------------------------------------------------------------------
-    # The measure surface (mirrors RunResult)
+    # The measure surface (RunResult answers from it)
     # ------------------------------------------------------------------
 
-    def _dev_start(self, warmup: float) -> int:
-        return bisect.bisect_left(self._dev_taus, warmup)
-
-    def deviation_series(self, warmup: float = 0.0) -> list[tuple[float, float]]:
-        """Good-set deviation per retained sample after ``warmup``."""
-        self._require_finalized()
-        lo = self._dev_start(warmup)
-        return list(zip(self._dev_taus[lo:], self._devs[lo:]))
-
-    def max_deviation(self, warmup: float = 0.0) -> float:
-        """Maximum good-set deviation after ``warmup``."""
-        self._require_finalized()
-        lo = self._dev_start(warmup)
-        if lo >= len(self._devs):
-            raise MeasurementError("no samples with a non-trivial good set after warmup")
-        return max(self._devs[lo:])
-
-    def deviation_percentiles(self, warmup: float = 0.0,
-                              percentiles: Sequence[float] = (50.0, 95.0, 99.0, 100.0),
-                              ) -> dict[float, float]:
-        """Median/tail percentiles of the deviation series."""
-        self._require_finalized()
-        lo = self._dev_start(warmup)
-        series = self._devs[lo:]
-        if not len(series):
-            raise MeasurementError("no deviation samples after warmup")
-        return series_percentiles(series, percentiles)
-
-    def envelope_occupancy(self, bound: float, warmup: float = 0.0) -> float:
-        """Fraction of post-warmup deviation samples within ``bound``."""
-        self._require_finalized()
-        lo = self._dev_start(warmup)
-        return envelope_occupancy(self._devs[lo:], bound)
+    def _endpoints(self, node: int, t1: float, t2: float):
+        """The captured readings of one stretch (``stretch_accuracy``'s lookup)."""
+        if t2 >= self._last_tau:
+            end = (self._last_tau, self._last_vals[node])
+        else:
+            end = self._end_caps.get((node, t2))
+            if end is None:
+                raise MeasurementError(
+                    f"no sample at or before tau={t2}; run starts at "
+                    f"{self._tau0}")
+        return self._start_caps[(node, t1)], end
 
     def accuracy(self, min_span: float = 0.0) -> AccuracyReport:
         """Measured drift/discontinuity over good stretches."""
         self._require_finalized()
         if not self._count:
             raise MeasurementError("cannot measure accuracy with no samples")
-        horizon = self._last_tau
-
-        alpha = 0.0
-        for node, clock in self.clocks.items():
-            for tau, delta, _ in clock.adjustments:
-                if node not in self.index.good_at(tau):
-                    continue
-                alpha = max(alpha, abs(delta))
-
-        grid = 2 * (self._tau1 - self._tau0) if self._count > 1 else 0.0
-        implied = 0.0
-        measured = 0
-        for node, t1, t2 in good_stretches(self.corruptions, self.pi, self.n,
-                                           horizon):
-            if t2 - t1 < max(min_span, grid):
-                continue
-            tau1, v1 = self._start_caps[(node, t1)]
-            if t2 < horizon:
-                capture = self._end_caps.get((node, t2))
-                if capture is None:
-                    raise MeasurementError(
-                        f"no sample at or before tau={t2}; run starts at "
-                        f"{self._tau0}")
-                tau2, v2 = capture
-            else:
-                tau2, v2 = self._last_tau, self._last_vals[node]
-            if tau2 <= tau1:
-                continue
-            span = tau2 - tau1
-            advance = v2 - v1
-            measured += 1
-            up = (advance - alpha) / span - 1.0
-            down = span / (advance + alpha) - 1.0 if advance + alpha > 0 else math.inf
-            implied = max(implied, up, down, 0.0)
-
-        return AccuracyReport(max_discontinuity=alpha, implied_drift=implied,
-                              stretches=measured)
+        spacing = self._tau1 - self._tau0 if self._count > 1 else 0.0
+        return stretch_accuracy(self.clocks, self.corruptions, self.pi, self.n,
+                                self.index, self._last_tau, spacing, min_span,
+                                self._endpoints)
 
     def recovery(self, tolerance: float | None = None,
                  settle: float | None = None) -> RecoveryReport:

@@ -12,7 +12,6 @@ Orchestration (sweeps, replication, parallel fan-out, caching) lives in
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Sequence
 
@@ -21,15 +20,12 @@ from repro.adversary.mobile import MobileAdversary
 from repro.clocks.logical import LogicalClock
 from repro.core.analysis import Theorem5Verdict, theorem5_verdict
 from repro.core.params import ProtocolParams
-from repro.errors import MeasurementError
 from repro.metrics.measures import (
     AccuracyReport,
+    DeviationSeries,
     RecoveryReport,
     accuracy_report,
-    deviation_series,
-    envelope_occupancy,
     recovery_report,
-    series_percentiles,
 )
 from repro.metrics.sampler import (
     ClockSampler,
@@ -88,7 +84,7 @@ class RunResult:
     obs: "FlightRecorder | None" = field(repr=False, default=None)
     stream: OnlineMeasures | None = field(repr=False, default=None)
     _good_index: GoodSetIndex | None = field(repr=False, default=None, compare=False)
-    _dev_cache: tuple | None = field(repr=False, default=None, compare=False)
+    _deviations: DeviationSeries | None = field(repr=False, default=None, compare=False)
 
     # -- measures ----------------------------------------------------------
 
@@ -99,59 +95,37 @@ class RunResult:
                                             self.params.n)
         return self._good_index
 
-    def _deviation_pairs(self) -> tuple[list[float], list[float]]:
-        """The full (warmup=0) deviation series, computed once.
+    def deviations(self) -> DeviationSeries:
+        """The good-set deviation series, streamed or measured once.
 
-        Per-sample values are independent of the warmup cut, so every
-        warmup view is a bisected suffix of this one series.
+        Every deviation read-out below is a view of it.
         """
-        if self._dev_cache is None:
-            pairs = deviation_series(self.samples, self.corruptions,
-                                     self.params.pi, self.params.n,
-                                     index=self.good_index())
-            self._dev_cache = ([tau for tau, _ in pairs],
-                               [dev for _, dev in pairs])
-        return self._dev_cache
+        if self._deviations is None:
+            self._deviations = (
+                self.stream.deviations if self.stream is not None
+                else DeviationSeries.measure(self.samples, self.corruptions,
+                                             self.params.pi, self.params.n,
+                                             index=self.good_index()))
+        return self._deviations
 
     def deviation_series(self, warmup: float = 0.0) -> list[tuple[float, float]]:
         """Good-set deviation per sample (Definition 3(i) subject)."""
-        if self.stream is not None:
-            return self.stream.deviation_series(warmup)
-        taus, devs = self._deviation_pairs()
-        lo = bisect.bisect_left(taus, warmup)
-        return list(zip(taus[lo:], devs[lo:]))
+        return self.deviations().series(warmup)
 
     def max_deviation(self, warmup: float = 0.0) -> float:
         """Maximum good-set deviation after ``warmup``."""
-        if self.stream is not None:
-            return self.stream.max_deviation(warmup)
-        taus, devs = self._deviation_pairs()
-        lo = bisect.bisect_left(taus, warmup)
-        if lo >= len(devs):
-            raise MeasurementError("no samples with a non-trivial good set after warmup")
-        return max(devs[lo:])
+        return self.deviations().max(warmup)
 
     def deviation_percentiles(self, warmup: float = 0.0,
                               percentiles=(50.0, 95.0, 99.0, 100.0)
                               ) -> dict[float, float]:
         """Median/tail percentiles of the good-set deviation series."""
-        if self.stream is not None:
-            return self.stream.deviation_percentiles(warmup, percentiles)
-        taus, devs = self._deviation_pairs()
-        lo = bisect.bisect_left(taus, warmup)
-        series = devs[lo:]
-        if not series:
-            raise MeasurementError("no deviation samples after warmup")
-        return series_percentiles(series, percentiles)
+        return self.deviations().percentiles(warmup, percentiles)
 
     def envelope_occupancy(self, warmup: float = 0.0) -> float:
         """Fraction of post-warmup samples inside the Theorem 5 envelope."""
-        bound = self.params.bounds().max_deviation
-        if self.stream is not None:
-            return self.stream.envelope_occupancy(bound, warmup)
-        taus, devs = self._deviation_pairs()
-        lo = bisect.bisect_left(taus, warmup)
-        return envelope_occupancy(devs[lo:], bound)
+        return self.deviations().occupancy(self.params.bounds().max_deviation,
+                                           warmup)
 
     def accuracy(self, min_span: float = 0.0) -> AccuracyReport:
         """Measured drift and discontinuity (Definition 3(ii) subject)."""

@@ -11,12 +11,13 @@ from repro.clocks.logical import LogicalClock
 from repro.errors import MeasurementError
 from repro.metrics.measures import (
     accuracy_report,
+    DeviationSeries,
     deviation_series,
     good_stretches,
-    max_deviation,
     recovery_report,
+    stretch_accuracy,
 )
-from repro.metrics.sampler import ClockSamples, CorruptionInterval
+from repro.metrics.sampler import ClockSamples, CorruptionInterval, GoodSetIndex
 
 
 def grid_samples(times, per_node_values):
@@ -33,11 +34,29 @@ class TestDeviation:
     def test_faulty_node_excluded(self):
         samples = grid_samples([0.0, 1.0], {0: [0.0, 1.0], 1: [99.0, 99.0], 2: [0.1, 1.1]})
         corruption = [CorruptionInterval(1, 0.0, 5.0)]
-        assert max_deviation(samples, corruption, pi=1.0, n=3) == pytest.approx(0.1)
+        assert DeviationSeries.measure(samples, corruption, pi=1.0, n=3).max() == pytest.approx(0.1)
 
     def test_warmup_skips_early_samples(self):
         samples = grid_samples([0.0, 1.0], {0: [5.0, 1.0], 1: [0.0, 1.0]})
-        assert max_deviation(samples, [], pi=1.0, n=2, warmup=0.5) == pytest.approx(0.0)
+        assert DeviationSeries.measure(samples, [], pi=1.0, n=2).max(warmup=0.5) == pytest.approx(0.0)
+
+    def test_warmup_keeps_the_sample_at_warmup(self):
+        samples = grid_samples([0.0, 1.0, 2.0], {0: [0.0, 1.0, 2.0],
+                                                 1: [0.5, 1.25, 2.0]})
+        series = DeviationSeries.measure(samples, [], pi=1.0, n=2)
+        assert series.series(1.0) == [(1.0, 0.25), (2.0, 0.0)]
+        assert series.max(1.0) == 0.25
+        assert series.percentiles(1.0, (50.0, 100.0)) == {50.0: 0.0, 100.0: 0.25}
+        assert series.occupancy(0.0, 1.0) == 0.5
+
+    def test_occupancy_bound_is_inclusive_with_slack(self):
+        samples = grid_samples([0.0, 1.0, 2.0], {0: [0.0, 1.0, 2.0],
+                                                 1: [0.5, 1.25, 2.75]})
+        series = DeviationSeries.measure(samples, [], pi=1.0, n=2)
+        assert series.occupancy(0.5) == 2 / 3           # 0.5 and 0.25 inside
+        assert series.occupancy(0.5 - 1e-13) == 2 / 3   # within the slack
+        assert series.occupancy(0.5 - 1e-9) == 1 / 3
+        assert math.isnan(series.occupancy(1.0, warmup=3.0))
 
     def test_small_good_set_skipped(self):
         samples = grid_samples([0.0], {0: [0.0], 1: [1.0]})
@@ -47,7 +66,7 @@ class TestDeviation:
     def test_empty_after_warmup_raises(self):
         samples = grid_samples([0.0], {0: [0.0], 1: [0.0]})
         with pytest.raises(MeasurementError):
-            max_deviation(samples, [], pi=1.0, n=2, warmup=5.0)
+            DeviationSeries.measure(samples, [], pi=1.0, n=2).max(warmup=5.0)
 
 
 class TestGoodStretches:
@@ -109,6 +128,68 @@ class TestAccuracy:
             accuracy_report(ClockSamples(), [], {}, pi=1.0, n=0)
 
 
+class TestStretchAccuracy:
+    """The eq. (3) kernel both paths call, fed a hand-made endpoint lookup."""
+
+    def kernel(self, endpoints, corruptions=(), clocks=None, spacing=1.0,
+               min_span=0.0):
+        index = GoodSetIndex(list(corruptions), 1.0, 1)
+        return stretch_accuracy(clocks or {}, list(corruptions), 1.0, 1,
+                                index, 10.0, spacing, min_span, endpoints)
+
+    def test_drift_from_the_looked_up_endpoints(self):
+        asked = []
+
+        def endpoints(node, t1, t2):
+            asked.append((node, t1, t2))
+            return (0.5, 0.0), (9.5, 9.18)      # advance 9.18 over span 9
+
+        report = self.kernel(endpoints)
+        assert asked == [(0, 0.0, 10.0)]
+        assert report.stretches == 1
+        assert report.max_discontinuity == 0.0
+        assert report.implied_drift == 9.18 / 9.0 - 1.0
+
+    def test_alpha_only_counts_non_faulty_corrections(self):
+        clock = LogicalClock(FixedRateClock(rho=0.0))
+        clock.adjust(1.0, -0.25)                # inside the corruption
+        clock.adjust(6.0, 0.125)                # PI after the release
+        report = self.kernel(lambda node, t1, t2: ((t1, t1), (t2, t2 + 0.3)),
+                             corruptions=[CorruptionInterval(0, 0.5, 2.0)],
+                             clocks={0: clock})
+        assert report.max_discontinuity == 0.125
+        assert report.stretches == 1            # [3, 10]; [0, 0.5] too short
+        # eq. (3) grants the stretch alpha of its advance.
+        assert report.implied_drift == (10.3 - 3.0 - 0.125) / 7.0 - 1.0
+
+    def test_short_stretches_are_not_looked_up(self):
+        def endpoints(node, t1, t2):
+            raise AssertionError("looked up a stretch below the floor")
+
+        for spacing, min_span in ((5.5, 0.0), (0.0, 10.5)):
+            report = self.kernel(endpoints, spacing=spacing, min_span=min_span)
+            assert report.stretches == 0 and report.implied_drift == 0.0
+
+    def test_stretch_of_exactly_the_floor_is_measured(self):
+        def endpoints(node, t1, t2):
+            return (t1, t1), (t2, t2)
+
+        for spacing, min_span in ((5.0, 0.0), (0.0, 10.0)):
+            report = self.kernel(endpoints, spacing=spacing, min_span=min_span)
+            assert report.stretches == 1
+
+    def test_lookup_refusal_propagates(self):
+        def endpoints(node, t1, t2):
+            raise MeasurementError("no sample at or before tau=10.0")
+
+        with pytest.raises(MeasurementError, match="no sample at or before"):
+            self.kernel(endpoints)
+
+    def test_degenerate_span_is_skipped(self):
+        report = self.kernel(lambda node, t1, t2: ((4.0, 4.0), (4.0, 4.0)))
+        assert report.stretches == 0
+
+
 class TestRecovery:
     def make_run(self, recovered_values):
         """Node 1 is corrupted during [1, 2]; node 0 and 2 are good and
@@ -163,26 +244,24 @@ class TestRecovery:
 
 class TestPercentiles:
     def test_percentiles_of_known_series(self):
-        from repro.metrics.measures import deviation_percentiles
         times = [float(i) for i in range(10)]
         # node 1 is `i * 0.01` ahead at sample i: deviations 0.00..0.09.
         samples = grid_samples(times, {
             0: times,
             1: [t + 0.01 * i for i, t in enumerate(times)],
         })
-        result = deviation_percentiles(samples, [], pi=1.0, n=2,
-                                       percentiles=(50.0, 100.0))
+        result = DeviationSeries.measure(samples, [], pi=1.0, n=2).percentiles(
+            percentiles=(50.0, 100.0))
         assert result[100.0] == pytest.approx(0.09)
         assert result[50.0] == pytest.approx(0.04)
 
     def test_bad_percentile_rejected(self):
-        from repro.metrics.measures import deviation_percentiles
         samples = grid_samples([0.0], {0: [0.0], 1: [0.0]})
         with pytest.raises(MeasurementError):
-            deviation_percentiles(samples, [], pi=1.0, n=2, percentiles=(0.0,))
+            DeviationSeries.measure(samples, [], pi=1.0, n=2).percentiles(
+                percentiles=(0.0,))
 
     def test_max_percentile_equals_max_deviation(self):
-        from repro.metrics.measures import deviation_percentiles
         from repro.runner.builders import benign_scenario, default_params
         from repro.runner.experiment import run
         result = run(benign_scenario(default_params(n=4, f=1), duration=3.0,

@@ -74,7 +74,7 @@ def assert_matches_posthoc(clocks, corruptions, grid, pi, tolerance=0.5,
     n = len(clocks)
     stream, samples, index = stream_and_posthoc(clocks, corruptions, grid,
                                                 pi, tolerance, settle)
-    assert _pack(stream.deviation_series()) == _pack(
+    assert _pack(stream.deviations.series()) == _pack(
         deviation_series(samples, corruptions, pi, n, index=index))
     assert stream.accuracy() == accuracy_report(
         samples, corruptions, clocks, pi, n, index=index)
@@ -216,7 +216,7 @@ def test_singleton_and_empty_good_sets():
     lost = {tau: 2.0 for tau in grid if 1.0 <= tau < 2.5}
     clocks = {0: _BumpClock(lost), 1: _BumpClock()}
     stream = assert_matches_posthoc(clocks, corruptions, grid, pi=1.0)
-    series = stream.deviation_series()
+    series = stream.deviations.series()
     assert all(not 1.0 <= tau <= 3.0 for tau, _ in series)
     assert all(not 5.0 <= tau <= 9.0 for tau, _ in series)
     by_release = {event.released_at: event
@@ -231,13 +231,41 @@ def test_singleton_and_empty_good_sets():
 def test_no_corruptions_and_no_samples():
     clocks = {0: _BumpClock(), 1: _BumpClock(offset=0.5)}
     stream = assert_matches_posthoc(clocks, [], [0.0, 1.0, 2.0], pi=1.0)
-    assert stream.max_deviation() == 0.5
+    assert stream.deviations.max() == 0.5
     empty = OnlineMeasures(clocks, [], pi=1.0, n=2, recovery_tolerance=0.5)
     empty.finalize()
-    assert empty.deviation_series() == []
+    assert empty.deviations.series() == []
     assert empty.recovery().events == []
     with pytest.raises(MeasurementError):
         empty.accuracy()
+
+
+def test_run_result_reads_the_one_deviation_series():
+    """Streamed or post hoc, RunResult's four deviation read-outs are
+    views of one DeviationSeries: the stream's own, or one measured once
+    from the recorded samples."""
+    from repro.metrics.measures import DeviationSeries
+    from repro.runner.builders import default_params, mobile_byzantine_scenario
+    from repro.runner.experiment import run
+
+    scenario = mobile_byzantine_scenario(default_params(n=4, f=1), duration=6.0,
+                                         seed=3)
+    streamed = run(scenario, stream_measures=True)
+    posthoc = run(scenario)
+    assert streamed.deviations() is streamed.stream.deviations
+    assert posthoc.deviations() is posthoc.deviations()
+    measured = DeviationSeries.measure(posthoc.samples, posthoc.corruptions,
+                                       posthoc.params.pi, posthoc.params.n)
+    for series in (streamed.deviations(), posthoc.deviations()):
+        assert series.taus.tobytes() == measured.taus.tobytes()
+        assert series.devs.tobytes() == measured.devs.tobytes()
+    bound = scenario.params.bounds().max_deviation
+    for warmup in (0.0, 2.0):
+        assert (streamed.deviation_series(warmup), streamed.max_deviation(warmup),
+                streamed.deviation_percentiles(warmup),
+                streamed.envelope_occupancy(warmup)) == (
+            measured.series(warmup), measured.max(warmup),
+            measured.percentiles(warmup), measured.occupancy(bound, warmup))
 
 
 # ---------------------------------------------------------------------------
@@ -262,6 +290,6 @@ def test_decreasing_tau_is_rejected_and_harmless():
                 stream.on_sample(0.0, i)
     stream.finalize()
     # The rejected calls left no trace.
-    assert stream.deviation_series() == reference.deviation_series()
+    assert stream.deviations.series() == reference.deviations.series()
     assert stream.accuracy() == reference.accuracy()
     assert stream.recovery() == reference.recovery()

@@ -262,7 +262,7 @@ def _assert_stream_matches_posthoc(stream, grid, rows, clocks, corruptions,
                                    clocks={node: list(row)
                                            for node, row in rows.items()})
             index = GoodSetIndex(corruptions, pi, n)
-            assert _pack_series(stream.deviation_series(warmup)) == \
+            assert _pack_series(stream.deviations.series(warmup)) == \
                 _pack_series(deviation_series(samples, corruptions, pi, n,
                                               warmup=warmup, index=index))
             assert stream.accuracy() == accuracy_report(

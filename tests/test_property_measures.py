@@ -7,6 +7,8 @@ deviation measure's relation to raw samples, and stretch construction.
 
 from __future__ import annotations
 
+import math
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -109,3 +111,23 @@ def test_good_stretches_are_maximal_on_the_right(corruptions, pi, horizon):
         if t2 < horizon:
             assert any(c.node == node and abs(c.start - t2) < 1e-9
                        for c in corruptions)
+
+
+@settings(max_examples=200)
+@given(corruptions=corruption_sets(n_nodes=3),
+       never_released=st.lists(st.tuples(st.integers(0, 2), times_strategy),
+                               max_size=2),
+       pi=st.floats(0.1, 5.0, allow_nan=False),
+       horizon=st.floats(0.0, 120.0, allow_nan=False))
+def test_finite_stretches_are_clipped_endless_ones(corruptions, never_released,
+                                                   pi, horizon):
+    """The streaming path captures stretch endpoints at the starts and
+    finite ends of the stretches of an *endless* run, before it knows
+    its horizon.  That is only sound if every horizon's stretches are
+    those, end clipped to the horizon, and no others."""
+    corruptions = corruptions + [CorruptionInterval(node, start, math.inf)
+                                 for node, start in never_released]
+    endless = good_stretches(corruptions, pi, 3, math.inf)
+    clipped = [(node, t1, min(t2, horizon)) for node, t1, t2 in endless
+               if t1 < min(t2, horizon)]
+    assert good_stretches(corruptions, pi, 3, horizon) == clipped

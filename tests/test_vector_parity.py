@@ -70,8 +70,8 @@ def assert_exact_parity(scalar: RunResult, vector: RunResult) -> None:
         assert vector.stream is None
     else:
         assert vector.stream is not None
-        assert (scalar.stream.deviation_series()
-                == vector.stream.deviation_series())
+        assert (scalar.stream.deviations.series()
+                == vector.stream.deviations.series())
 
     assert set(scalar.clocks) == set(vector.clocks)
     horizon = scalar.scenario.duration
