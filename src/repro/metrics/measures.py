@@ -10,7 +10,8 @@ Three families of measures, one per requirement:
   discontinuity over good stretches (checked against Theorem 5(ii)).
 * **Recovery** — :func:`recovery_report`: for every adversary release,
   how long until the victim's clock re-enters (and stays in) the good
-  range (checked against Claim 8(iii)'s geometric convergence).
+  range (checked against Claim 8(iii)'s geometric convergence), found
+  by one candidate/confirm pass of :class:`RecoveryScan`.
 
 All measures run on a :class:`~repro.metrics.sampler.GoodSetIndex`
 (piecewise-constant good sets, O(log C) lookups) and the columnar
@@ -22,9 +23,11 @@ enforces this.
 
 The streaming path (:class:`~repro.metrics.streaming.OnlineMeasures`)
 differs from this one only in how it *collects* its inputs: it fills a
-:class:`DeviationSeries` sample by sample, and hands
+:class:`DeviationSeries` sample by sample, hands
 :func:`stretch_accuracy` — the one Definition 3(ii) read-out — its own
-stretch-endpoint lookup.
+stretch-endpoint lookup, and feeds :class:`RecoveryScan` — the one
+recovery scan — from its sampling hook instead of from a walk over
+recorded samples.
 """
 
 from __future__ import annotations
@@ -362,21 +365,123 @@ class RecoveryReport:
         return all(math.isfinite(event.recovery_time) for event in self.events)
 
 
-def _good_range(samples: ClockSamples, index: GoodSetIndex, at: int,
-                exclude: int | None = None) -> tuple[float, float] | None:
-    """Clock range of the good set at sample ``at``, minus one node.
+class RecoveryScan:
+    """The recovery measure's one scan, fed sample by sample.
 
-    Recovery measurement excludes the recovering node itself: once PI
-    has passed since its release it formally re-enters the good set,
-    and a still-lost clock would otherwise widen the very range it is
-    measured against.
+    A release's scan starts at the first sample with ``tau >= end -
+    1e-12`` (skipped when the good range is empty there) and keeps a
+    *candidate*: the first sample since the last violation.  The
+    candidate is confirmed as ``rejoined_at`` by the first sample past
+    ``candidate + settle`` — checked *before* that sample's own
+    violation test, since it lies outside the candidate's window — or
+    by the end of the run.  That is the earliest sample whose whole
+    settle window stays within ``tolerance`` of the good range, found in
+    one pass.
+
+    The good range a node is measured against leaves the node itself
+    out: once PI has passed since its release it formally re-enters the
+    good set, and a still-lost clock would otherwise widen the very
+    range it is measured against.  Samples whose range is then empty
+    are vacuously fine.
+
+    Feed :meth:`observe` every sample with ``tau >= due`` (``-inf``
+    while a release is unresolved, the next release's start threshold
+    otherwise, ``inf`` once none is left); read the result with
+    :meth:`report`.
+
+    Args:
+        corruptions: Audited corruption intervals (finite ends only are
+            measured).
+        tolerance: Maximum distance from the good range that counts as
+            recovered.
+        settle: Stability window.
     """
-    good = set(index.good_at(samples.times[at]))
-    good.discard(exclude)
-    if not good:
-        return None
-    values = [samples.clocks[node][at] for node in good]
-    return min(values), max(values)
+
+    __slots__ = ("corruptions", "tolerance", "settle", "due", "_waiting",
+                 "_active", "_started")
+
+    def __init__(self, corruptions: Sequence[CorruptionInterval],
+                 tolerance: float, settle: float) -> None:
+        self.corruptions = tuple(corruptions)
+        self.tolerance = tolerance
+        self.settle = settle
+        # Finite releases by descending end, popped from the end.
+        self._waiting = sorted(
+            ((c.end, k) for k, c in enumerate(self.corruptions)
+             if math.isfinite(c.end)), reverse=True)
+        # One [node, initial distance, candidate] per started release, by
+        # corruption position: the distance stays None for a skipped
+        # release, the candidate is inf while there is none (so it is
+        # also the report's rejoined_at); ``_active`` holds the
+        # unresolved ones.
+        self._started: dict[int, list] = {}
+        self._active: list[list] = []
+        self._schedule()
+
+    def _schedule(self) -> None:
+        waiting = self._waiting
+        # The start threshold is ClockSamples.index_at_or_after's.
+        self.due = (-math.inf if self._active else
+                    waiting[-1][0] - 1e-12 if waiting else math.inf)
+
+    def observe(self, tau: float, row: Sequence[float], good: frozenset[int],
+                bounds: tuple[float, float] | None = None) -> None:
+        """Feed one sample at or after :attr:`due`.
+
+        Args:
+            tau: The sample time.
+            row: Every node's clock reading at ``tau``, indexed by node.
+            good: The Definition 3 good set at ``tau``.
+            bounds: ``row``'s range over ``good`` when the caller has it
+                (reused for nodes outside ``good``).
+        """
+        waiting = self._waiting
+        while waiting and tau >= waiting[-1][0] - 1e-12:
+            k = waiting.pop()[1]
+            self._started[k] = state = [self.corruptions[k].node, None, math.inf]
+            self._active.append(state)
+        settle, tolerance = self.settle, self.tolerance
+        unresolved = []
+        for state in self._active:
+            node, initial, candidate = state
+            if tau > candidate + settle:
+                continue                # confirmed
+            if bounds is None or node in good:
+                others = [row[peer] for peer in good if peer != node]
+                own = (min(others), max(others)) if others else None
+            else:
+                own = bounds
+            value = row[node]
+            if initial is None:
+                if own is None:
+                    continue            # nothing to measure against: skipped
+                state[1] = max(0.0, max(own[0] - value, value - own[1]))
+            if own is not None and (value < own[0] - tolerance
+                                    or value > own[1] + tolerance):
+                state[2] = math.inf
+            elif candidate == math.inf:
+                state[2] = tau
+            unresolved.append(state)
+        self._active = unresolved
+        self._schedule()
+
+    def report(self, horizon: float) -> RecoveryReport:
+        """The events of every release before ``horizon`` (the last sample).
+
+        An unconfirmed candidate's truncated window counts as stable.
+        """
+        events = []
+        for k, corruption in enumerate(self.corruptions):
+            state = self._started.get(k)
+            if state is None or state[1] is None or corruption.end >= horizon:
+                continue
+            events.append(RecoveryEvent(
+                node=corruption.node,
+                released_at=corruption.end,
+                rejoined_at=state[2],
+                initial_distance=state[1],
+            ))
+        return RecoveryReport(events=events, tolerance=self.tolerance)
 
 
 def recovery_report(samples: ClockSamples, corruptions: Sequence[CorruptionInterval],
@@ -388,7 +493,9 @@ def recovery_report(samples: ClockSamples, corruptions: Sequence[CorruptionInter
     A node counts as rejoined at the first sample after its release
     where its clock is within ``tolerance`` of the good range and stays
     within it for the following ``settle`` seconds (default ``PI``), or
-    to the end of the run if less remains.
+    to the end of the run if less remains.  :class:`RecoveryScan` over
+    the recorded samples from the first release on, one good-set lookup
+    per sample that some unresolved release needs.
 
     Args:
         samples: Grid samples.
@@ -401,54 +508,18 @@ def recovery_report(samples: ClockSamples, corruptions: Sequence[CorruptionInter
         settle: Stability window; default ``pi``.
         index: Prebuilt :class:`GoodSetIndex` for these corruptions.
     """
-    if settle is None:
-        settle = pi
     if index is None:
         index = GoodSetIndex(corruptions, pi, n)
-    events: list[RecoveryEvent] = []
-    horizon = samples.times[-1] if samples.times else 0.0
-    for corruption in corruptions:
-        if not math.isfinite(corruption.end) or corruption.end >= horizon:
-            continue
-        start_index = samples.index_at_or_after(corruption.end)
-        bounds0 = _good_range(samples, index, start_index,
-                              exclude=corruption.node)
-        node_values = samples.clocks[corruption.node]
-        if bounds0 is None:
-            continue
-        initial = max(0.0, max(bounds0[0] - node_values[start_index],
-                               node_values[start_index] - bounds0[1]))
-        rejoined = math.inf
-        for i in range(start_index, len(samples.times)):
-            if _stably_within(samples, index, corruption.node, i,
-                              tolerance, settle):
-                rejoined = samples.times[i]
-                break
-        events.append(RecoveryEvent(
-            node=corruption.node,
-            released_at=corruption.end,
-            rejoined_at=rejoined,
-            initial_distance=initial,
-        ))
-    return RecoveryReport(events=events, tolerance=tolerance)
-
-
-def _stably_within(samples: ClockSamples, index: GoodSetIndex, node: int,
-                   start_index: int, tolerance: float, settle: float) -> bool:
-    """Whether ``node`` stays within tolerance of the good range.
-
-    Checks every sample from ``start_index`` through the settle window;
-    samples whose (exclusion-adjusted) good set is empty are vacuously
-    fine.
-    """
-    end_time = samples.times[start_index] + settle
-    for i in range(start_index, len(samples.times)):
-        if samples.times[i] > end_time:
+    scan = RecoveryScan(corruptions, tolerance, pi if settle is None else settle)
+    times = samples.times
+    columns = [samples.clocks[node] for node in range(n)]
+    cursor = index.cursor()
+    i = 0
+    while scan.due < math.inf:
+        i = bisect.bisect_left(times, scan.due, i)
+        if i == len(times):
             break
-        bounds = _good_range(samples, index, i, exclude=node)
-        if bounds is None:
-            continue
-        value = samples.clocks[node][i]
-        if value < bounds[0] - tolerance or value > bounds[1] + tolerance:
-            return False
-    return True
+        scan.observe(times[i], [column[i] for column in columns],
+                     cursor.included_at(times[i]))
+        i += 1
+    return scan.report(times[-1] if times else 0.0)

@@ -423,11 +423,6 @@ class GoodSetIndex(WindowIndex):
         """A fresh mutable copy of the good set at ``tau``."""
         return set(self.included_at(tau))
 
-    def iter_good(self, times: Sequence[float], start: int = 0,
-                  stop: int | None = None) -> Iterator[tuple[int, int, frozenset[int]]]:
-        """Alias of :meth:`WindowIndex.runs` under its good-set name."""
-        return self.runs(times, start, stop)
-
     def faulty_nodes_at(self, tau: float) -> frozenset[int]:
         """Nodes adversary-controlled at the instant ``tau`` (O(log C)).
 

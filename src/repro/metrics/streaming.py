@@ -4,7 +4,7 @@
 ``on_sample`` hook (like the flight recorder's probes) and accumulates
 everything the campaign's :class:`~repro.runner.campaign.RunRecord`
 needs — the deviation series, accuracy stretch endpoints, recovery
-state machines, envelope occupancy — while the simulation runs.
+scan, envelope occupancy — while the simulation runs.
 Combined with ``ClockSampler(record=False)``, a worker keeps O(n +
 samples) state (one float pair per retained deviation sample) instead
 of the full O(samples x n) trace, and ships a summary, not columns.
@@ -13,31 +13,30 @@ of the full O(samples x n) trace, and ships a summary, not columns.
 path over recorded samples.  This works because clock reads are pure
 functions of real time *at the moment of the read* (the sampler's grid
 event), corruption intervals are known before the run (plan-based
-adversary), and each post-hoc lookup has an online mirror:
+adversary), and the two post-hoc sample lookups have online mirrors:
 
 * ``index_at_or_after(t)`` == capture at the first sample with
   ``tau >= t - 1e-12``;
 * ``index_at_or_before(t)`` == rolling capture at the last sample with
-  ``tau <= t + 1e-12``;
-* the recovery scan's ``_stably_within`` == a candidate/confirm state
-  machine (confirm is checked *before* the violation test, because a
-  sample past the settle window is outside the candidate's window).
+  ``tau <= t + 1e-12``.
 
 The read-outs themselves are not mirrored but shared: the deviation
-series is a :class:`~repro.metrics.measures.DeviationSeries` and the
+series is a :class:`~repro.metrics.measures.DeviationSeries`, the
 accuracy report comes from
 :func:`~repro.metrics.measures.stretch_accuracy` fed the captures
-above.  The property suite and ``tools/check_determinism.py --stream``
-enforce the contract end to end.
+above, and the recovery report from the
+:class:`~repro.metrics.measures.RecoveryScan` this hook feeds.  The
+property suite and ``tools/check_determinism.py --stream`` enforce the
+contract end to end.
 
 **Cost model**: a grid point costs what it must and nothing that grows
 with the run's history — one read per clock (through the shared
 :class:`~repro.clocks.mirror.ClockMirror`), one min/max over the good
-set, two comparisons against the heads of the capture queues, one
-against the next release, and one ``observe`` per *active* recovery
-tracker (those between their release and their confirmation; waiting
-and retired trackers cost nothing).  DESIGN.md §8 has the argument that
-this event-driven form preserves the three mirrors above.
+set, two comparisons against the heads of the capture queues, and one
+against the recovery scan's ``due``, which only a sample some release
+needs passes (between its release and its confirmation).  DESIGN.md §8
+has the argument that this event-driven form preserves the two mirrors
+above.
 """
 
 from __future__ import annotations
@@ -50,8 +49,8 @@ from repro.errors import MeasurementError
 from repro.metrics.measures import (
     AccuracyReport,
     DeviationSeries,
-    RecoveryEvent,
     RecoveryReport,
+    RecoveryScan,
     good_stretches,
     stretch_accuracy,
 )
@@ -62,65 +61,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 #: Grid-matching tolerance, identical to ClockSamples.index_at_or_*.
 _EPS = 1e-12
-
-
-class _RecoveryTracker:
-    """Online mirror of one corruption's post-hoc recovery scan.
-
-    Lives in :class:`OnlineMeasures`' waiting queue until the first
-    sample at or after the release, then in its active list until
-    :meth:`observe` reports it done (confirmed, or skipped for want of
-    a good range at the start sample).
-    """
-
-    __slots__ = ("corruption", "node", "tolerance", "settle", "started",
-                 "skipped", "initial", "candidate", "rejoined", "confirmed")
-
-    def __init__(self, corruption: CorruptionInterval, tolerance: float,
-                 settle: float) -> None:
-        self.corruption = corruption
-        self.node = corruption.node
-        self.tolerance = tolerance
-        self.settle = settle
-        self.started = False
-        self.skipped = False        # good range empty at the start sample
-        self.initial = 0.0
-        self.candidate: float | None = None
-        self.rejoined = math.inf
-        self.confirmed = False
-
-    def observe(self, tau: float, value: float,
-                bounds: tuple[float, float] | None) -> bool:
-        """Feed one sample at or after the release; True once done.
-
-        ``value`` is the recovering node's clock and ``bounds`` the
-        good range *excluding* that node (None when empty).
-        """
-        if not self.started:
-            self.started = True
-            if bounds is None:
-                self.skipped = True
-                return True
-            self.initial = max(0.0, max(bounds[0] - value, value - bounds[1]))
-        # A sample past the settle window confirms the candidate before
-        # its own violation status is considered (it lies outside the
-        # candidate's window) — matching _stably_within exactly.
-        if self.candidate is not None and tau > self.candidate + self.settle:
-            self.confirmed = True
-            self.rejoined = self.candidate
-            return True
-        if bounds is not None and (value < bounds[0] - self.tolerance
-                                   or value > bounds[1] + self.tolerance):
-            self.candidate = None
-        elif self.candidate is None:
-            self.candidate = tau
-        return False
-
-    def finish(self) -> None:
-        """End of run: a surviving candidate's (truncated) window is stable."""
-        if self.candidate is not None and not self.confirmed:
-            self.confirmed = True
-            self.rejoined = self.candidate
 
 
 class OnlineMeasures:
@@ -134,8 +74,8 @@ class OnlineMeasures:
     byte-identical to the post-hoc path (see the module docstring for
     why).
 
-    The recovery state machines need their thresholds *during* the run,
-    so ``recovery_tolerance``/``recovery_settle`` are fixed at
+    The recovery scan needs its thresholds *during* the run, so
+    ``recovery_tolerance``/``recovery_settle`` are fixed at
     construction; :meth:`recovery` rejects other values.
 
     Args:
@@ -188,20 +128,8 @@ class OnlineMeasures:
                           if self._end_queue else math.inf)
         self._start_caps: dict[tuple[int, float], tuple[float, float]] = {}
         self._end_caps: dict[tuple[int, float], tuple[float, float]] = {}
-        # Recovery trackers, in corruption order (the report's order);
-        # only finite releases can ever start.  ``_waiting`` is the same
-        # trackers by descending release time (pop from the end),
-        # ``_active`` the few between their start sample and done.
-        self._trackers = [
-            _RecoveryTracker(c, self.recovery_tolerance, self.recovery_settle)
-            for c in self.corruptions if math.isfinite(c.end)
-        ]
-        self._waiting = sorted(self._trackers, key=lambda t: t.corruption.end,
-                               reverse=True)
-        self._active: list[_RecoveryTracker] = []
-        self._next_release = (self._waiting[-1].corruption.end - _EPS
-                              if self._waiting else math.inf)
-        self._events: list[RecoveryEvent] | None = None
+        self._recovery = RecoveryScan(self.corruptions, self.recovery_tolerance,
+                                      self.recovery_settle)
         self._finalized = False
 
     # ------------------------------------------------------------------
@@ -243,13 +171,8 @@ class OnlineMeasures:
             series.taus.append(tau)
             series.devs.append(bounds[1] - bounds[0])
 
-        if tau >= self._next_release:
-            self._release(tau)
-        if self._active:
-            if bounds is None and good:
-                (only,) = good
-                bounds = (vals[only], vals[only])
-            self._observe_active(tau, vals, good, bounds)
+        if tau >= self._recovery.due:
+            self._recovery.observe(tau, vals, good, bounds)
 
         self._last_tau = tau
         self._last_vals = vals
@@ -271,41 +194,10 @@ class OnlineMeasures:
             self._start_caps[(node, threshold)] = (tau, vals[node])
         self._next_start = queue[-1][0] - _EPS if queue else math.inf
 
-    def _release(self, tau: float) -> None:
-        """Move every tracker whose release has come to the active list."""
-        waiting = self._waiting
-        while waiting and tau >= waiting[-1].corruption.end - _EPS:
-            self._active.append(waiting.pop())
-        self._next_release = (waiting[-1].corruption.end - _EPS
-                              if waiting else math.inf)
-
-    def _observe_active(self, tau: float, vals: list[float],
-                        good: frozenset[int],
-                        bounds: tuple[float, float] | None) -> None:
-        """Feed the sample to the active trackers; retire the done ones.
-
-        ``bounds`` is the whole good set's range, which *is* the range
-        a tracker measures against while its node is outside the good
-        set (the usual case: a node re-enters only PI after release).
-        """
-        retired = False
-        for tracker in self._active:
-            node = tracker.node
-            own_bounds = bounds
-            if node in good:
-                others = [vals[peer] for peer in good if peer != node]
-                own_bounds = (min(others), max(others)) if others else None
-            if tracker.observe(tau, vals[node], own_bounds):
-                retired = True
-        if retired:
-            self._active = [tracker for tracker in self._active
-                            if not (tracker.confirmed or tracker.skipped)]
-
     def finalize(self) -> None:
         """Close out end-of-run state; required before querying measures."""
         if self._finalized:
             return
-        horizon = self._last_tau if self._count else 0.0
         # Unmatured end-captures: every remaining threshold satisfies
         # t2 + eps >= last tau, so the final sample is the capture.
         if self._count:
@@ -313,19 +205,6 @@ class OnlineMeasures:
                 self._end_caps[(node, threshold)] = (self._last_tau,
                                                      self._last_vals[node])
         self._end_queue.clear()
-        events: list[RecoveryEvent] = []
-        for tracker in self._trackers:
-            corruption = tracker.corruption
-            if corruption.end >= horizon or tracker.skipped:
-                continue
-            tracker.finish()
-            events.append(RecoveryEvent(
-                node=corruption.node,
-                released_at=corruption.end,
-                rejoined_at=tracker.rejoined,
-                initial_distance=tracker.initial,
-            ))
-        self._events = events
         self._finalized = True
 
     def _require_finalized(self) -> None:
@@ -376,6 +255,4 @@ class OnlineMeasures:
             raise MeasurementError(
                 f"streamed recovery was measured with settle="
                 f"{self.recovery_settle}, cannot answer for {settle}")
-        assert self._events is not None
-        return RecoveryReport(events=list(self._events),
-                              tolerance=self.recovery_tolerance)
+        return self._recovery.report(self._last_tau if self._count else 0.0)

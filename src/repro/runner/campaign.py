@@ -339,7 +339,7 @@ class Campaign:
             with path.open("rb") as handle:
                 payload = pickle.load(handle)
         except (OSError, pickle.UnpicklingError, EOFError, AttributeError,
-                ImportError, IndexError):
+                ImportError, IndexError, ValueError, TypeError):
             return None
         # Format 4 envelope: {"format": CACHE_FORMAT, "record": record}.
         # Anything else — a bare pre-4 RunRecord, an envelope from a

@@ -234,6 +234,40 @@ class TestRecovery:
         report = recovery_report(samples, corr, pi=1.0, n=3, tolerance=0.1, settle=1.0)
         assert report.events[0].rejoined_at == pytest.approx(4.0)
 
+    def test_violation_on_the_window_closing_sample_fails_the_candidate(self):
+        """The settle window is closed: a violation at exactly
+        ``candidate + settle`` still counts against the candidate."""
+        samples, corr = self.make_run([2.0, 50.0, 4.0, 5.0])
+        report = recovery_report(samples, corr, pi=1.0, n=3, tolerance=0.1, settle=1.0)
+        assert report.events[0].rejoined_at == 4.0
+
+    def test_confirmation_precedes_the_confirming_samples_violation(self):
+        """The first sample past the window confirms the candidate even
+        when that sample itself is a violation; later ones change nothing."""
+        samples, corr = self.make_run([2.0, 3.0, 50.0, 50.0])
+        report = recovery_report(samples, corr, pi=1.0, n=3, tolerance=0.1, settle=1.0)
+        assert report.events[0].rejoined_at == 2.0
+
+    @pytest.mark.parametrize("offset", [-0.5, 0.5])
+    def test_exactly_at_tolerance_is_within(self, offset):
+        samples, corr = self.make_run([tau + offset for tau in (2.0, 3.0, 4.0, 5.0)])
+        report = recovery_report(samples, corr, pi=1.0, n=3, tolerance=0.5, settle=1.0)
+        assert report.events[0].rejoined_at == 2.0
+
+    def test_initial_distance_is_zero_inside_the_range(self):
+        times = [0.0, 1.0, 2.0, 3.0]
+        samples = grid_samples(times, {0: times, 1: [t + 0.5 for t in times],
+                                       2: [t + 1.0 for t in times]})
+        corr = [CorruptionInterval(1, 1.0, 2.0)]
+        (event,) = recovery_report(samples, corr, pi=1.0, n=3, tolerance=0.1).events
+        assert event.initial_distance == 0.0
+
+    def test_release_at_the_last_sample_not_measured(self):
+        samples, _ = self.make_run([2.0, 3.0, 4.0, 5.0])
+        corr = [CorruptionInterval(1, 1.0, 5.0)]
+        report = recovery_report(samples, corr, pi=1.0, n=3, tolerance=0.1, settle=1.0)
+        assert report.events == []
+
     def test_unreleased_corruption_not_measured(self):
         times = [0.0, 1.0, 2.0]
         samples = grid_samples(times, {0: times, 1: times})

@@ -6,9 +6,10 @@ byte-identical to the post-hoc path.  The Hypothesis suite
 cases here pin the places where the event-driven hot path could differ
 and random inputs only land by luck: a sample sitting exactly on the
 ``1e-12`` tolerance of a stretch endpoint, several thresholds maturing
-on one sample, a recovery tracker whose node re-enters the good set
-before it confirms, never-released and overlapping corruptions, empty
-and singleton good sets, and a decreasing sample time.
+on one sample, a recovery scan whose node re-enters the good set
+before it confirms or whose candidates keep failing late,
+never-released and overlapping corruptions, empty and singleton good
+sets, and a decreasing sample time.
 
 Clocks here are :class:`_BumpClock`\\ s — ``tau`` plus a large bump at
 chosen instants — so *which* sample a capture took is unmistakable in
@@ -28,7 +29,14 @@ from repro.metrics.measures import (
     deviation_series,
     recovery_report,
 )
-from repro.metrics.sampler import ClockSamples, CorruptionInterval, GoodSetIndex
+from repro.metrics import columns
+from repro.metrics.columns import HAVE_NUMPY, set_numpy
+from repro.metrics.sampler import (
+    ClockSamples,
+    CorruptionInterval,
+    GoodSetIndex,
+    WindowCursor,
+)
 from repro.metrics.streaming import OnlineMeasures
 
 EPS = 1e-12
@@ -156,7 +164,7 @@ def test_first_sample_after_a_break_in_has_no_end_capture():
 
 
 # ---------------------------------------------------------------------------
-# Recovery trackers
+# The recovery scan
 # ---------------------------------------------------------------------------
 
 
@@ -177,6 +185,47 @@ def test_tracker_node_reenters_good_set_before_confirming():
     assert event.released_at == 2.0
     assert event.initial_distance == 5.0
     assert event.rejoined_at == 4.0
+
+
+@pytest.mark.parametrize("use_numpy", [
+    pytest.param(True, marks=pytest.mark.skipif(not HAVE_NUMPY,
+                                                reason="numpy not installed")),
+    False,
+])
+def test_posthoc_recovery_is_one_pass(monkeypatch, use_numpy):
+    """A clock that stays in tolerance for k samples and leaves it for one,
+    over and over, with k just under the settle window: every candidate
+    fails, yet the post-hoc scan looks each sample's good set up at most
+    once (re-walking each candidate's window would cost ~k/2 per sample)."""
+    k, dt, settle = 9, 0.1, 1.0                     # window: 11 samples
+    corruptions = [CorruptionInterval(1, 1.0, 2.0)]
+    grid = [dt * i for i in range(125)]             # 0 .. 12.4
+    after = [tau for tau in grid if tau >= 2.0 - EPS]
+    lost = {tau: 50.0 for i, tau in enumerate(after) if i % (k + 1) == k}
+    clocks = {0: _BumpClock(), 1: _BumpClock(lost), 2: _BumpClock()}
+    monkeypatch.setattr(columns, "_FORCED", None)
+    set_numpy(use_numpy)
+    stream, samples, index = stream_and_posthoc(clocks, corruptions, grid,
+                                                pi=1.0, tolerance=0.5,
+                                                settle=settle)
+
+    lookups = []
+    for owner, name in ((GoodSetIndex, "good_at"),
+                        (WindowCursor, "included_at")):
+        def spy(self, tau, _real=getattr(owner, name)):
+            lookups.append(tau)
+            return _real(self, tau)
+        monkeypatch.setattr(owner, name, spy)
+    report = recovery_report(samples, corruptions, 1.0, 3, 0.5, settle,
+                             index=index)
+    monkeypatch.undo()
+
+    assert len(lookups) <= len(after)
+    assert min(lookups) >= 2.0 - EPS
+    assert report == stream.recovery()
+    # Only the truncated window after the last violation is stable.
+    (event,) = report.events
+    assert event.rejoined_at == after[after.index(max(lost)) + 1] < grid[-1]
 
 
 def test_never_released_corruption_has_no_tracker_and_no_event():

@@ -161,6 +161,23 @@ class TestCaching:
         assert (result.executed, result.cached) == (1, 0)
         assert result.records[0].ok
 
+    @pytest.mark.parametrize("garbage", [
+        b"Fabc\n.",               # FLOAT of a non-number: ValueError
+        b"\x8c\x02\xff\xfe.",     # bad UTF-8 in SHORT_BINUNICODE: UnicodeDecodeError
+        b"K\x01K\x02K\x03s.",     # SETITEM on an int: TypeError
+    ])
+    def test_cache_file_that_raises_on_load_is_a_miss(self, tmp_path, garbage):
+        configs = [config(seed=1)]
+        campaign = Campaign(configs=configs, cache_dir=tmp_path)
+        path = campaign._cache_path(configs[0])
+        path.write_bytes(garbage)
+        result = Campaign(configs=configs, cache_dir=tmp_path).run()
+        assert (result.executed, result.cached) == (1, 0)
+        assert result.records[0].ok
+        assert path.read_bytes() != garbage          # rewritten
+        again = Campaign(configs=configs, cache_dir=tmp_path).run()
+        assert (again.executed, again.cached) == (0, 1)
+
     def test_error_records_are_never_cached(self, tmp_path):
         bad = dict(config(seed=3), duration=-1.0)
         campaign = Campaign(configs=[bad], cache_dir=tmp_path)
