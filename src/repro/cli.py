@@ -698,8 +698,18 @@ def _cmd_live_processes(args: argparse.Namespace) -> int:
                                          text=True))
     samples, summaries = [], []
     failed = False
-    for child in children:
-        stdout, _ = child.communicate(timeout=args.duration + 30.0)
+    timeout = args.duration + 30.0
+    for node, child in enumerate(children):
+        try:
+            stdout, _ = child.communicate(timeout=timeout)
+        except subprocess.TimeoutExpired:
+            for other in children:
+                if other.poll() is None:
+                    other.kill()
+                    other.wait()
+            print(f"live: node {node} did not finish within {timeout:g}s; "
+                  f"killed every running child", file=sys.stderr)
+            return 1
         failed = failed or child.returncode != 0
         for line in stdout.splitlines():
             record = _json.loads(line)

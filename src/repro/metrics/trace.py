@@ -1,7 +1,8 @@
 """Run-trace recording: messages, corruptions, and sync executions.
 
-The trace recorder is a passive observer wired into the network tap and
-the protocol processes' sync listeners.  It exists for three consumers:
+The trace recorder is a passive observer fed by the protocol processes'
+sync listeners, the adversary and (only when a scenario asks for
+per-message records) the network tap.  It exists for three consumers:
 
 * post-hoc debugging of a surprising run;
 * the Figure 1 / Figure 2 consistency checks in
@@ -11,13 +12,11 @@ the protocol processes' sync listeners.  It exists for three consumers:
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.sync import SyncRecord
-    from repro.runtime.messages import Message
 
 
 @dataclass(frozen=True)
@@ -58,94 +57,33 @@ class CorruptionRecord:
 
 @dataclass
 class TraceRecorder:
-    """Accumulates the observable history of one run.
+    """Accumulates the observable history of one run in append-only lists.
 
     Attributes:
-        messages: Delivered messages (only if ``record_messages``).
+        messages: Delivered messages (filled by the runner's network
+            tap only when the scenario sets ``record_messages``; long
+            runs deliver millions of messages).
         syncs: Every completed Sync execution, all nodes, time-ordered
             by construction — listeners fire at simulator event times,
             which are non-decreasing, so append order is time order.
         corruptions: Break-in/release actions.
-        record_messages: Message recording is opt-in — long runs deliver
-            millions of messages.
     """
 
-    record_messages: bool = False
     messages: list[MessageRecord] = field(default_factory=list)
     syncs: list["SyncRecord"] = field(default_factory=list)
     corruptions: list[CorruptionRecord] = field(default_factory=list)
-    # Query acceleration: per-node sync lists and a parallel completion-
-    # time array for bisection.  Rebuilt lazily if `syncs` was mutated
-    # directly (tests and fixtures do this), so the indexed queries
-    # always agree with a linear rescan.
-    _by_node: dict[int, list["SyncRecord"]] = field(
-        default_factory=dict, repr=False)
-    _sync_times: list[float] = field(default_factory=list, repr=False)
-    _indexed: int = field(default=0, repr=False)
 
     # -- wiring hooks ------------------------------------------------------
 
-    def on_message(self, message: "Message") -> None:
-        """Network tap callback."""
-        if not self.record_messages:
-            return
-        self.messages.append(MessageRecord(
-            sender=message.sender,
-            recipient=message.recipient,
-            kind=type(message.payload).__name__,
-            sent_at=message.sent_at,
-            delivered_at=message.delivered_at,
-        ))
-
     def on_sync(self, record: "SyncRecord") -> None:
         """Sync-listener callback."""
-        if self._indexed == len(self.syncs):
-            self._index_one(record)
         self.syncs.append(record)
-
-    def _index_one(self, record: "SyncRecord") -> None:
-        bucket = self._by_node.get(record.node_id)
-        if bucket is None:
-            bucket = self._by_node[record.node_id] = []
-        bucket.append(record)
-        self._sync_times.append(record.real_time)
-        self._indexed += 1
-
-    def _ensure_index(self) -> None:
-        """Rebuild the index if ``syncs`` was appended to directly."""
-        if self._indexed == len(self.syncs):
-            return
-        self._by_node.clear()
-        self._sync_times.clear()
-        self._indexed = 0
-        for record in self.syncs:
-            self._index_one(record)
 
     def on_corruption(self, node: int, time: float, action: str, strategy: str) -> None:
         """Adversary action callback."""
         self.corruptions.append(CorruptionRecord(node, time, action, strategy))
 
     # -- queries -----------------------------------------------------------
-
-    def syncs_for(self, node: int) -> list["SyncRecord"]:
-        """All sync records of one node, in execution order.
-
-        Served from a per-node index maintained by :meth:`on_sync`, so
-        repeated queries do not rescan the full history.
-        """
-        self._ensure_index()
-        return list(self._by_node.get(node, ()))
-
-    def syncs_between(self, lo: float, hi: float) -> list["SyncRecord"]:
-        """All sync records completed in the real-time window ``[lo, hi]``.
-
-        ``syncs`` is time-ordered by construction, so the window is
-        located by bisection instead of a full scan.
-        """
-        self._ensure_index()
-        start = bisect.bisect_left(self._sync_times, lo)
-        stop = bisect.bisect_right(self._sync_times, hi)
-        return self.syncs[start:stop]
 
     def discarded_own_clock(self) -> list["SyncRecord"]:
         """Sync records where the WayOff branch fired (recovery jumps)."""

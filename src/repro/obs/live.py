@@ -1,20 +1,16 @@
-"""Live telemetry plane: the PR 2 flight-recorder stack on a real cluster.
+"""Live telemetry plane: the flight recorder on a real cluster.
 
-:class:`LiveTelemetry` is the wall-clock sibling of
-:class:`~repro.obs.recorder.FlightRecorder`.  It owns the same
-subsystems — event capture, :class:`~repro.obs.spans.SpanTracer`,
-:class:`~repro.obs.metricsreg.MetricsCollector`,
-:class:`~repro.obs.probes.Theorem5Probe` — selected by the same
-:class:`~repro.obs.recorder.ObsConfig`, and publishes the same
-``run.start`` / ``metrics.snapshot`` / ``run.end`` schema, so a JSONL
-stream captured from a live cluster replays through ``repro trace``
-exactly like a simulator trace.  What differs is the substrate: instead
-of a :class:`~repro.sim.engine.Simulator` it attaches to a (duck-typed)
-:class:`~repro.rt.live.LiveCluster`, rides its telemetry sampler
-instead of the clock-sampling grid, and folds the transports' bare-int
-drop counters into the registry on each sample (a *pull*, so the
-datagram hot path stays untouched — the attribute-guard overhead
-contract of PR 2 extends to the live path).
+:class:`LiveTelemetry` is a substrate adapter over
+:class:`~repro.obs.recorder.FlightRecorder`, not a second obs stack:
+same subsystems, same :class:`~repro.obs.recorder.ObsConfig` meaning
+and same event schema, so a live JSONL stream replays through
+``repro trace`` like a simulator trace.  It keeps only what differs: it
+attaches to a (duck-typed) :class:`~repro.rt.live.LiveCluster`, sets
+the spread gauges from the cluster's sampler, and *pulls* the
+transports' and query servers' bare-int counters into the registry on
+each sample and before the final snapshot, so the datagram hot path
+stays untouched.  ``ObsConfig.messages`` does nothing here: a live
+cluster has no :class:`~repro.net.network.Network` to tap.
 
 :class:`ClusterIntrospection` is the read side: the ``stats`` /
 ``health`` documents served by the admin endpoints
@@ -30,17 +26,10 @@ of attributes it actually reads.
 
 from __future__ import annotations
 
-import pathlib
-from typing import TYPE_CHECKING, Any
+from typing import Any
 
-from repro.obs.bus import EventBus, ObsEvent, events_to_jsonl
-from repro.obs.metricsreg import MetricsCollector, MetricsRegistry
-from repro.obs.probes import ProbeViolation, Theorem5Probe
-from repro.obs.recorder import ObsConfig
-from repro.obs.spans import SpanTracer
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.core.params import ProtocolParams
+from repro.obs.metricsreg import MetricsRegistry
+from repro.obs.recorder import FlightRecorder
 
 
 #: Transport counter attributes pulled into the registry, in metric
@@ -65,102 +54,58 @@ QUERY_COUNTERS = (
 QUERY_LATENCY_METRIC = "query_latency_seconds"
 
 
-def _pull_counters(registry: MetricsRegistry, source: Any, node: int | None,
-                   table: tuple[tuple[str, str], ...]) -> None:
-    """Mirror an object's bare-int counters into registry counters.
+def _transport_counters(transports: dict[int, Any]
+                        ) -> dict[int | None, dict[str, int]]:
+    """The bare-int counters of each distinct transport, by owner.
 
-    The source objects (transports, query servers) increment plain
-    ints on their hot paths; mirroring happens only on the sampling
-    grid, so the counters stay current to within one sample interval at
-    zero per-datagram cost.  Missing attributes are skipped (loopback
+    The owner is the node of a per-node transport (one with a
+    ``node_id``) and ``None`` for a loopback hub shared by every node,
+    which is counted once.  Missing attributes are skipped (loopback
     has no drop counters).
     """
-    for name, attr in table:
-        value = getattr(source, attr, None)
-        if value is not None:
-            registry.counter(name, node).value = float(value)
+    out: dict[int | None, dict[str, int]] = {}
+    seen: set[int] = set()
+    for node, transport in transports.items():
+        if id(transport) in seen:
+            continue
+        seen.add(id(transport))
+        owner = node if getattr(transport, "node_id", None) is not None else None
+        out[owner] = {name: int(getattr(transport, attr))
+                      for name, attr in TRANSPORT_COUNTERS
+                      if getattr(transport, attr, None) is not None}
+    return out
 
 
-class LiveTelemetry:
-    """Unified observability for one live cluster.
+class LiveTelemetry(FlightRecorder):
+    """The flight recorder on a live cluster.
 
-    Args:
-        params: Protocol parameterization (bounds for the probe and the
-            ``run.start`` header).
-        clocks: The cluster's logical clocks by node (read-only).
-        bus: The cluster's event bus.
-        config: Subsystem selection; defaults to spans + metrics +
-            probes, like the simulator recorder.
-
-    Attributes:
-        config: The active configuration.
-        bus: The cluster's event bus.
-        events: Every event published, in order (the JSONL stream).
-        tracer: Span tracer (``None`` when spans are disabled).
-        collector: Metrics collector (``None`` when metrics disabled).
-        probe: Wall-clock Theorem 5 probe (``None`` when disabled).
+    Construct it like a :class:`~repro.obs.recorder.FlightRecorder`,
+    passing the cluster's bus, then :meth:`attach` the cluster.
     """
 
-    def __init__(self, params: "ProtocolParams", clocks: dict[int, Any],
-                 bus: EventBus, config: ObsConfig | None = None) -> None:
-        self.params = params
-        self.config = config if config is not None else ObsConfig()
-        self.bus = bus
-        self.events: list[ObsEvent] = []
-        bus.subscribe(self.events.append)
-        self.tracer: SpanTracer | None = (SpanTracer() if self.config.spans
-                                          else None)
-        if self.tracer is not None:
-            bus.subscribe(self.tracer.on_event)
-        self.collector: MetricsCollector | None = (
-            MetricsCollector() if self.config.metrics else None)
-        if self.collector is not None:
-            bus.subscribe(self.collector.on_event)
-        self.probe: Theorem5Probe | None = None
-        if self.config.probes:
-            self.probe = Theorem5Probe(params, clocks, bus=bus,
-                                       warmup=self.config.probe_warmup)
-            bus.subscribe(self.probe.on_event)
-        self._cluster: Any = None
-        self._finalized = False
-
-    # ------------------------------------------------------------------
-    # Wiring
-    # ------------------------------------------------------------------
+    _cluster: Any = None
 
     def attach(self, cluster: Any) -> None:
         """Point the cluster's processes at the bus; emit ``run.start``.
 
-        ``cluster`` is duck-typed (needs ``processes``, ``transports``,
-        ``query_servers``, ``spread``); called by ``build_cluster`` when
-        telemetry is enabled.
+        ``cluster`` is duck-typed (needs ``params``, ``clocks``,
+        ``processes``, ``transports``, ``query_servers``); called by
+        ``build_cluster`` when telemetry is enabled.
         """
         self._cluster = cluster
-        for process in cluster.processes.values():
-            process.obs = self.bus
-        params = self.params
-        bounds = params.bounds()
-        self.bus.publish(
-            "run.start",
-            n=params.n, f=params.f, delta=params.delta, rho=params.rho,
-            pi=params.pi, sync_interval=params.sync_interval,
-            max_wait=params.max_wait, way_off=params.way_off,
-            max_deviation_bound=bounds.max_deviation,
-            logical_drift_bound=bounds.logical_drift,
-            discontinuity_bound=bounds.discontinuity,
-            probe_warmup=self.config.probe_warmup,
-        )
+        self._attach_processes(cluster.processes, cluster.clocks,
+                               cluster.params)
 
     def on_sample(self, tau: float, spread: float | None = None) -> None:
-        """Sampler hook: drive the probe and refresh pulled counters."""
-        if self.probe is not None:
-            self.probe.on_sample(tau)
+        """Sampler hook: drive the probe, then refresh the spread
+        gauges and the pulled counters."""
+        super().on_sample(tau)
         if self.collector is not None:
             registry = self.collector.registry
             if spread is not None:
                 registry.gauge("cluster_spread").set(spread)
                 registry.gauge("cluster_spread_bound").set(
-                    self.params.bounds().max_deviation)
+                    self._cluster.params.bounds().max_deviation)
             self.pull_counters()
 
     def pull_counters(self) -> None:
@@ -169,53 +114,20 @@ class LiveTelemetry:
         if self.collector is None or self._cluster is None:
             return
         registry = self.collector.registry
-        seen: set[int] = set()
-        for node, transport in self._cluster.transports.items():
-            if id(transport) in seen:
-                continue  # loopback: one shared hub for every node
-            seen.add(id(transport))
-            owner = getattr(transport, "node_id", None)
-            _pull_counters(registry, transport,
-                           node if owner is not None else None,
-                           TRANSPORT_COUNTERS)
+        for owner, counters in _transport_counters(
+                self._cluster.transports).items():
+            for name, value in counters.items():
+                registry.counter(name, owner).value = float(value)
         for node, server in self._cluster.query_servers.items():
-            _pull_counters(registry, server, node, QUERY_COUNTERS)
+            for name, attr in QUERY_COUNTERS:
+                registry.counter(name, node).value = float(getattr(server, attr))
 
-    def finalize(self) -> None:
-        """Emit the end-of-run snapshot events (idempotent)."""
-        if self._finalized:
-            return
-        self._finalized = True
-        self.pull_counters()
-        if self.collector is not None:
-            self.bus.publish("metrics.snapshot",
-                             snapshot=self.collector.registry.snapshot())
-        self.bus.publish("run.end", violations=len(self.violations))
-
-    # ------------------------------------------------------------------
-    # Results
-    # ------------------------------------------------------------------
-
-    @property
-    def metrics(self) -> MetricsRegistry:
-        """The metrics registry (empty when metrics are disabled)."""
-        if self.collector is None:
-            return MetricsRegistry()
-        return self.collector.registry
-
-    @property
-    def violations(self) -> list[ProbeViolation]:
-        """Wall-clock probe violations (empty when probes disabled)."""
-        return self.probe.violations if self.probe is not None else []
-
-    def events_jsonl(self) -> str:
-        """The captured event stream as canonical JSONL text."""
-        return events_to_jsonl(self.events)
-
-    def write_jsonl(self, path: str | pathlib.Path) -> None:
-        """Write the event stream to ``path`` as JSONL (``repro trace``
-        replays it like a simulator stream)."""
-        pathlib.Path(path).write_text(self.events_jsonl())
+    def finalize(self, sim: Any = None) -> None:
+        """Pull the counters once more, then emit the end-of-run
+        snapshot events (idempotent)."""
+        if not self._finalized:
+            self.pull_counters()
+        super().finalize()
 
 
 def merged_latency(snapshot: dict[str, Any],
@@ -278,11 +190,10 @@ class ClusterIntrospection:
 
     def metrics_snapshot(self) -> dict[str, Any]:
         """Current registry snapshot (fresh counter pull first)."""
-        if self.telemetry is not None:
-            self.telemetry.pull_counters()
-        registry = self.registry
-        return registry.snapshot() if registry is not None else {
-            "counters": {}, "gauges": {}, "histograms": {}}
+        if self.telemetry is None:
+            return MetricsRegistry().snapshot()
+        self.telemetry.pull_counters()
+        return self.telemetry.metrics.snapshot()
 
     def transport_counters(self) -> dict[str, dict[str, int]]:
         """Per-node transport counters straight off the transports.
@@ -290,21 +201,9 @@ class ClusterIntrospection:
         Keys are stringified node ids (``"_"`` for a shared loopback
         hub), mirroring the registry snapshot convention.
         """
-        out: dict[str, dict[str, int]] = {}
-        seen: set[int] = set()
-        for node, transport in self.cluster.transports.items():
-            if id(transport) in seen:
-                continue
-            seen.add(id(transport))
-            owner = getattr(transport, "node_id", None)
-            key = "_" if owner is None else str(node)
-            counters = {}
-            for name, attr in TRANSPORT_COUNTERS:
-                value = getattr(transport, attr, None)
-                if value is not None:
-                    counters[name] = int(value)
-            out[key] = counters
-        return out
+        return {"_" if owner is None else str(owner): counters
+                for owner, counters
+                in _transport_counters(self.cluster.transports).items()}
 
     def query_counters(self) -> dict[str, dict[str, int]]:
         """Per-node query-server counters (empty when not serving)."""

@@ -1,11 +1,14 @@
-"""The flight recorder: one object wiring the whole obs stack to a run.
+"""The flight recorder: the one obs stack, for simulated and live runs.
 
-:class:`FlightRecorder` owns the run's :class:`~repro.obs.bus.EventBus`
-and, per its :class:`ObsConfig`, a :class:`~repro.obs.spans.SpanTracer`,
-a :class:`~repro.obs.metricsreg.MetricsCollector`, and a
-:class:`~repro.obs.probes.Theorem5Probe`.  ``attach()`` points every
-publisher (engine, network, protocol processes, adversary) at the bus;
-the runner calls ``on_sample`` from the clock-sampling grid (probes and
+:class:`FlightRecorder` owns (or joins) the run's
+:class:`~repro.obs.bus.EventBus` and, per its :class:`ObsConfig`, a
+:class:`~repro.obs.spans.SpanTracer`, a
+:class:`~repro.obs.metricsreg.MetricsCollector`, a
+:class:`~repro.obs.probes.Theorem5Probe` and advisory health monitors.
+``attach()`` points every simulator publisher (engine, network,
+protocol processes, adversary) at the bus; a live cluster attaches
+through the :class:`~repro.obs.live.LiveTelemetry` adapter instead.
+The runner calls ``on_sample`` from the clock-sampling grid (probes and
 queue-depth sampling piggyback on existing sampling events, so enabling
 observability never adds, removes, or reorders simulator events) and
 ``finalize()`` after the run.
@@ -58,10 +61,13 @@ class ObsConfig:
         metrics: Maintain the per-node metrics registry.
         probes: Run the live Theorem 5 envelope probes.
         messages: Publish per-delivery ``net.deliver``/``net.drop``
-            events (voluminous; off by default).
+            events (voluminous; off by default).  Simulator only: it
+            taps the :class:`~repro.net.network.Network`, which a live
+            cluster does not have.
         monitors: Attach an advisory
-            :class:`~repro.service.monitor.SyncHealthMonitor` per node
-            whose alerts are published as ``monitor.alert`` events.
+            :class:`~repro.service.monitor.SyncHealthMonitor` to every
+            process that has ``sync_listeners``; its alerts are
+            published as ``monitor.alert`` events.
         probe_warmup: Real-time warmup before the probes start checking
             (initial convergence; same convention as the verdict).
     """
@@ -75,11 +81,13 @@ class ObsConfig:
 
 
 class FlightRecorder:
-    """Unified observability for one simulation run.
+    """Unified observability for one run, simulated or live.
 
     Args:
         config: Subsystem selection; defaults to spans + metrics +
             probes with message events off.
+        bus: An existing event bus to record (a live cluster's); a
+            fresh one is created when omitted.
 
     Attributes:
         config: The active configuration.
@@ -90,9 +98,10 @@ class FlightRecorder:
         probe: Theorem 5 probe (``None`` until attached or disabled).
     """
 
-    def __init__(self, config: ObsConfig | None = None) -> None:
+    def __init__(self, config: ObsConfig | None = None,
+                 bus: EventBus | None = None) -> None:
         self.config = config if config is not None else ObsConfig()
-        self.bus = EventBus()
+        self.bus = bus if bus is not None else EventBus()
         self.events: list[ObsEvent] = []
         self.bus.subscribe(self.events.append)
         self.tracer: SpanTracer | None = SpanTracer() if self.config.spans else None
@@ -104,7 +113,6 @@ class FlightRecorder:
             self.bus.subscribe(self.collector.on_event)
         self.probe: Theorem5Probe | None = None
         self._sim: "Simulator | None" = None
-        self._monitors: list[Any] = []
         self._finalized = False
 
     # ------------------------------------------------------------------
@@ -127,10 +135,18 @@ class FlightRecorder:
         sim.obs = self.bus
         if self.config.messages:
             network.obs = self.bus
-        for process in processes.values():
-            process.obs = self.bus
         if adversary is not None:
             adversary.obs = self.bus
+        self._attach_processes(processes, clocks, params)
+
+    def _attach_processes(self, processes: dict[int, Any],
+                          clocks: dict[int, Any],
+                          params: "ProtocolParams") -> None:
+        """The substrate-independent half of attaching: processes
+        publish, the probe and monitors start per the config, and the
+        ``run.start`` header goes out."""
+        for process in processes.values():
+            process.obs = self.bus
         if self.config.probes:
             self.probe = Theorem5Probe(params, clocks, bus=self.bus,
                                        warmup=self.config.probe_warmup)
@@ -145,7 +161,6 @@ class FlightRecorder:
                 monitor = SyncHealthMonitor(params, node)
                 monitor.obs = self.bus
                 listeners.append(monitor.on_sync)
-                self._monitors.append(monitor)
         bounds = params.bounds()
         self.bus.publish(
             "run.start",
@@ -158,37 +173,41 @@ class FlightRecorder:
             probe_warmup=self.config.probe_warmup,
         )
 
-    def on_sample(self, tau: float, index: int) -> None:
+    def on_sample(self, tau: float, index: int = 0) -> None:
         """Clock-sampler hook: drive probes and queue-depth sampling.
 
         Runs inside existing sampling events, so observability adds no
-        events of its own to the simulation schedule.
+        events of its own to the simulation schedule.  ``index`` is the
+        sampler's grid index, which the hook does not need.
         """
         if self.collector is not None and self._sim is not None:
             self.collector.sample_queue_depth(self._sim.pending_events)
         if self.probe is not None:
             self.probe.on_sample(tau)
 
-    def finalize(self, sim: "Simulator") -> None:
-        """Emit the end-of-run snapshot events (idempotent)."""
+    def finalize(self, sim: "Simulator | None" = None) -> None:
+        """Emit the end-of-run snapshot events (idempotent).
+
+        ``sim`` adds the simulator's perf counters to ``run.end``; a
+        live cluster passes none.
+        """
         if self._finalized:
             return
         self._finalized = True
         if self.collector is not None:
             self.bus.publish("metrics.snapshot",
                              snapshot=self.collector.registry.snapshot())
-        perf = sim.perf_counters()
-        # Only the deterministic counters: wall time and events/sec
-        # would break byte-identical streams across identical-seed runs.
-        self.bus.publish(
-            "run.end",
-            events_processed=perf.events_processed,
-            events_pushed=perf.events_pushed,
-            events_cancelled=perf.events_cancelled,
-            heap_high_water=perf.heap_high_water,
-            pending_events=perf.pending_events,
-            violations=len(self.violations),
-        )
+        perf: dict[str, int] = {}
+        if sim is not None:
+            counters = sim.perf_counters()
+            # Only the deterministic counters: wall time and events/sec
+            # would break byte-identical streams across identical-seed runs.
+            perf = dict(events_processed=counters.events_processed,
+                        events_pushed=counters.events_pushed,
+                        events_cancelled=counters.events_cancelled,
+                        heap_high_water=counters.heap_high_water,
+                        pending_events=counters.pending_events)
+        self.bus.publish("run.end", **perf, violations=len(self.violations))
 
     # ------------------------------------------------------------------
     # Results
@@ -208,7 +227,7 @@ class FlightRecorder:
 
     @property
     def violations(self) -> list[ProbeViolation]:
-        """Live probe violations (empty when probes are disabled)."""
+        """Probe violations (empty when probes are disabled)."""
         return self.probe.violations if self.probe is not None else []
 
     def events_jsonl(self) -> str:
@@ -216,7 +235,8 @@ class FlightRecorder:
         return events_to_jsonl(self.events)
 
     def write_jsonl(self, path: str | pathlib.Path) -> None:
-        """Write the event stream to ``path`` as JSONL."""
+        """Write the event stream to ``path`` as JSONL (``repro trace``
+        replays a simulated and a live stream alike)."""
         pathlib.Path(path).write_text(self.events_jsonl())
 
     def write_chrome_trace(self, path: str | pathlib.Path) -> None:

@@ -212,12 +212,10 @@ class LiveCluster:
         """
         from repro.service.query import TimeQueryServer
 
-        registry = (self.telemetry.collector.registry
-                    if self.telemetry is not None
-                    and self.telemetry.collector is not None else None)
+        introspection = self.introspection()
         server = TimeQueryServer(self.time_service(node), node_id=node,
-                                 metrics=registry,
-                                 introspection=self.introspection())
+                                 metrics=introspection.registry,
+                                 introspection=introspection)
         await server.start(host=host, port=port)
         self.query_servers[node] = server
         return server
@@ -324,7 +322,7 @@ def build_cluster(params: ProtocolParams, loop: Any, seed: int = 0,
         from repro.obs.recorder import ObsConfig
 
         config = telemetry if isinstance(telemetry, ObsConfig) else None
-        cluster.telemetry = LiveTelemetry(params, clocks, bus, config=config)
+        cluster.telemetry = LiveTelemetry(config, bus=bus)
         cluster.telemetry.attach(cluster)
     return cluster
 

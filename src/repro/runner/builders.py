@@ -17,7 +17,6 @@ These encode the standard workloads of the evaluation:
 
 from __future__ import annotations
 
-import math
 from typing import Sequence
 
 from repro.adversary.plans import PlanSpec, StrategySpec
@@ -130,24 +129,9 @@ def recommended_tolerance(params: ProtocolParams) -> float:
     return params.bounds().max_deviation
 
 
-def effective_horizon(duration: float, pi: float) -> float:
-    """Last time with a full PI-window of history (for good-set math)."""
-    return max(0.0, duration - pi)
-
-
-def is_power_of_two(value: int) -> bool:
-    """Tiny helper used by sweep builders to pick K grids."""
-    return value > 0 and (value & (value - 1)) == 0
-
-
 def geometric_grid(lo: float, hi: float, points: int) -> list[float]:
     """``points`` geometrically spaced values from ``lo`` to ``hi``."""
     if points < 2 or lo <= 0 or hi <= lo:
         raise ValueError(f"invalid grid spec lo={lo}, hi={hi}, points={points}")
     step = (hi / lo) ** (1.0 / (points - 1))
     return [lo * step ** i for i in range(points)]
-
-
-def about_equal(a: float, b: float, rel: float = 1e-9) -> bool:
-    """Relative float comparison helper shared by analysis code."""
-    return math.isclose(a, b, rel_tol=rel, abs_tol=1e-12)

@@ -34,7 +34,7 @@ from repro.metrics.sampler import (
     GoodSetIndex,
 )
 from repro.metrics.streaming import OnlineMeasures
-from repro.metrics.trace import TraceRecorder
+from repro.metrics.trace import MessageRecord, TraceRecorder
 from repro.net.network import Network
 from repro.protocols.base import protocol_factory
 from repro.runner.scenario import Scenario
@@ -44,6 +44,7 @@ from repro.sim.runtime import SimRuntime
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.obs.recorder import FlightRecorder
+    from repro.runtime.messages import Message
 
 
 @dataclass
@@ -180,8 +181,15 @@ def run(scenario: Scenario, recorder: "FlightRecorder | None" = None,
     network = Network(sim, scenario.resolved_topology(),
                       scenario.resolved_delay_model(),
                       loss_rate=scenario.loss_rate)
-    trace = TraceRecorder(record_messages=scenario.record_messages)
-    network.add_tap(trace.on_message)
+    trace = TraceRecorder()
+    if scenario.record_messages:
+        def record_message(message: Message) -> None:
+            trace.messages.append(MessageRecord(
+                message.sender, message.recipient,
+                type(message.payload).__name__,
+                message.sent_at, message.delivered_at))
+
+        network.add_tap(record_message)
 
     # Clocks: hardware from the factory, initial offsets via adj.
     clocks: dict[int, LogicalClock] = {}

@@ -194,7 +194,7 @@ def simulate_run(spec: VectorSpec) -> VectorRunOutput:
 
     rngs = RngRegistry(spec.seed)
     stream_fn = rngs.stream
-    trace = TraceRecorder(record_messages=False)
+    trace = TraceRecorder()
 
     # -- clocks (real factories, real streams, same draw order) ---------
     clocks: dict[int, LogicalClock] = {}

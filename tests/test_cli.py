@@ -230,6 +230,47 @@ def test_live_telemetry_loopback_with_metrics_and_json(tmp_path, capsys):
     assert "envelope probes: 0 violations" in trace_out
 
 
+def test_live_processes_timeout_kills_and_reaps_every_child(monkeypatch,
+                                                          capsys):
+    """A child that outlives its timeout must not leak the others: every
+    child still running is killed and reaped, and the node is named."""
+    import subprocess
+
+    children = []
+
+    class FakePopen:
+        def __init__(self, command, **kwargs):
+            self.node = int(command[command.index("--node-index") + 1])
+            self.returncode = None
+            self.killed = self.reaped = False
+            children.append(self)
+
+        def communicate(self, timeout=None):
+            if self.node == 1:
+                raise subprocess.TimeoutExpired("repro live", timeout)
+            self.returncode = 0
+            return "", None
+
+        def poll(self):
+            return self.returncode
+
+        def kill(self):
+            self.killed = True
+
+        def wait(self, timeout=None):
+            self.reaped = True
+            self.returncode = -9
+            return self.returncode
+
+    monkeypatch.setattr(subprocess, "Popen", FakePopen)
+    code = main(["live", "--processes", "--nodes", "4", "--duration", "0.1"])
+    assert code == 1
+    assert [child.node for child in children if child.killed] == [1, 2, 3]
+    assert all(child.reaped for child in children if child.killed)
+    assert not children[0].killed  # already exited and reaped
+    assert "node 1" in capsys.readouterr().err
+
+
 def test_query_health_unreachable_is_clean_failure(capsys):
     code = main(["query", "--health", "--port", "1", "--timeout", "0.05"])
     assert code == 1

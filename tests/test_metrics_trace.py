@@ -4,7 +4,6 @@ from __future__ import annotations
 
 from repro.core.sync import SyncRecord
 from repro.metrics.trace import TraceRecorder
-from repro.runtime.messages import Message, Ping
 
 
 def sync_record(node=0, round_no=1, real_time=1.0, own_discarded=False):
@@ -13,20 +12,17 @@ def sync_record(node=0, round_no=1, real_time=1.0, own_discarded=False):
                       own_discarded=own_discarded, replies=3)
 
 
-def message(sender=0, recipient=1):
-    return Message(sender=sender, recipient=recipient, payload=Ping(nonce=1),
-                   sent_at=0.0, delivered_at=0.001, msg_id=0)
-
-
 def test_messages_recorded_only_when_enabled():
-    off = TraceRecorder(record_messages=False)
-    off.on_message(message())
-    assert off.messages == []
+    from repro.runner.builders import benign_scenario, default_params
+    from repro.runner.experiment import run
 
-    on = TraceRecorder(record_messages=True)
-    on.on_message(message())
-    assert len(on.messages) == 1
-    assert on.messages[0].kind == "Ping"
+    params = default_params(n=4, f=1)
+    off = run(benign_scenario(params, duration=2.0, seed=1))
+    assert off.trace.messages == []
+    on = run(benign_scenario(params, duration=2.0, seed=1,
+                             record_messages=True))
+    assert len(on.trace.messages) == on.messages_delivered
+    assert {m.kind for m in on.trace.messages} == {"Ping", "Pong"}
 
 
 def test_sync_records_accumulate():
@@ -34,21 +30,6 @@ def test_sync_records_accumulate():
     trace.on_sync(sync_record(node=0, real_time=1.0))
     trace.on_sync(sync_record(node=1, real_time=2.0))
     assert len(trace.syncs) == 2
-
-
-def test_syncs_for_filters_by_node():
-    trace = TraceRecorder()
-    trace.on_sync(sync_record(node=0))
-    trace.on_sync(sync_record(node=1))
-    trace.on_sync(sync_record(node=0, round_no=2))
-    assert [r.round_no for r in trace.syncs_for(0)] == [1, 2]
-
-
-def test_syncs_between_window():
-    trace = TraceRecorder()
-    for t in (0.5, 1.5, 2.5):
-        trace.on_sync(sync_record(real_time=t))
-    assert [r.real_time for r in trace.syncs_between(1.0, 2.0)] == [1.5]
 
 
 def test_discarded_own_clock_filter():
@@ -68,57 +49,7 @@ def test_corruption_actions_recorded():
     ]
 
 
-def rescan_for(trace, node):
-    return [r for r in trace.syncs if r.node_id == node]
-
-
-def rescan_between(trace, lo, hi):
-    return [r for r in trace.syncs if lo <= r.real_time <= hi]
-
-
-def test_indexed_queries_match_rescan():
-    """The per-node index and bisected window must agree exactly with a
-    linear rescan of `syncs`."""
-    trace = TraceRecorder()
-    times = [0.1, 0.4, 0.4, 1.0, 2.5, 2.5, 3.0, 7.75]
-    for i, t in enumerate(times):
-        trace.on_sync(sync_record(node=i % 3, round_no=i, real_time=t))
-    for node in (0, 1, 2, 9):
-        assert trace.syncs_for(node) == rescan_for(trace, node)
-    for lo, hi in ((0.0, 10.0), (0.4, 0.4), (0.5, 2.5), (2.5, 3.0),
-                   (4.0, 5.0), (8.0, 9.0), (3.0, 1.0)):
-        assert trace.syncs_between(lo, hi) == rescan_between(trace, lo, hi)
-
-
-def test_syncs_between_includes_boundaries():
-    trace = TraceRecorder()
-    for t in (1.0, 2.0, 3.0):
-        trace.on_sync(sync_record(real_time=t))
-    assert [r.real_time for r in trace.syncs_between(1.0, 3.0)] \
-        == [1.0, 2.0, 3.0]
-
-
-def test_index_survives_direct_append():
-    """Fixtures sometimes append to `syncs` directly; queries must still
-    agree with a rescan (the index rebuilds lazily)."""
-    trace = TraceRecorder()
-    trace.on_sync(sync_record(node=0, real_time=1.0))
-    trace.syncs.append(sync_record(node=1, round_no=2, real_time=2.0))
-    trace.on_sync(sync_record(node=0, round_no=3, real_time=3.0))
-    assert trace.syncs_for(1) == rescan_for(trace, 1)
-    assert trace.syncs_for(0) == rescan_for(trace, 0)
-    assert trace.syncs_between(0.0, 5.0) == trace.syncs
-
-
-def test_syncs_for_returns_copy():
-    trace = TraceRecorder()
-    trace.on_sync(sync_record(node=0))
-    first = trace.syncs_for(0)
-    first.clear()
-    assert len(trace.syncs_for(0)) == 1
-
-
-def test_indexed_queries_on_live_run_match_rescan():
+def test_live_run_syncs_are_time_ordered():
     from repro.runner.builders import default_params, mobile_byzantine_scenario
     from repro.runner.experiment import run
 
@@ -127,7 +58,3 @@ def test_indexed_queries_on_live_run_match_rescan():
     trace = result.trace
     assert [r.real_time for r in trace.syncs] \
         == sorted(r.real_time for r in trace.syncs)
-    for node in range(params.n):
-        assert trace.syncs_for(node) == rescan_for(trace, node)
-    mid = trace.syncs[len(trace.syncs) // 2].real_time
-    assert trace.syncs_between(1.0, mid) == rescan_between(trace, 1.0, mid)

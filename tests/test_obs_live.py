@@ -107,6 +107,22 @@ class TestLiveTelemetry:
         assert telemetry.collector is not None
         assert telemetry.violations == []
 
+    def test_obs_config_means_the_same_on_both_substrates(self):
+        # monitors=True attaches a SyncHealthMonitor to every live
+        # process, as it does on the simulator, and the span tree is
+        # readable through the same accessor.
+        params = default_live_params(n=4, f=1)
+        loop = VirtualTimeLoop()
+        cluster = build_cluster(params, loop, seed=3, transport="loopback",
+                                telemetry=ObsConfig(monitors=True))
+        cluster.clocks[2].adj += 5.0
+        cluster.start(0.1)
+        loop.run_until(4.0)
+        alerts = [event for event in cluster.telemetry.events
+                  if event.kind == "monitor.alert"]
+        assert any(event.node == 2 for event in alerts)
+        assert cluster.telemetry.spans
+
     def test_metrics_property_safe_without_collector(self):
         config = ObsConfig(spans=False, metrics=False, probes=False)
         _, cluster = telemetry_run(duration=1.0, config=config)
