@@ -5,10 +5,10 @@ The plan generators in :mod:`repro.adversary.mobile` take strategy
 written in a JSON config.  A :class:`PlanSpec` is the declarative
 counterpart: a plan kind (``rotating``, ``single-burst``, ...), a
 :class:`StrategySpec` naming the per-victim behaviour, and plain-data
-options.  Specs pickle, round-trip through JSON, and build the exact
-same :class:`~repro.adversary.mobile.PlannedCorruption` lists the old
-closures did — which is what lets *any* scenario fan out over a process
-pool, not just the four canned config scenarios.
+options.  Specs cross process pools, round-trip through JSON, and build
+the exact same :class:`~repro.adversary.mobile.PlannedCorruption` lists
+the old closures did — which is what lets *any* scenario fan out over a
+process pool, not just the four canned config scenarios.
 
 A ``PlanSpec`` is itself callable with the ``(scenario, clocks)``
 plan-builder signature, so it drops into ``Scenario.plan_builder``

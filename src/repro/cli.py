@@ -19,10 +19,10 @@ Subcommands:
   without running anything (the deployment-planning calculator).
 * ``sweep`` — run a campaign of JSON configs through the unified
   executor: ``--workers N`` fans out over a process pool (results
-  byte-identical to serial), ``--cache-dir`` caches records by content
-  hash so re-invocations and interrupted campaigns re-execute only the
-  missing runs (``--fresh`` ignores the cache), and ``--backend
-  vector`` swaps in the vectorized batch engine (byte-identical
+  byte-identical to serial), ``--cache-dir`` caches records in a result
+  store keyed by config so re-invocations and interrupted campaigns
+  re-execute only the missing runs (``--fresh`` ignores the cache), and
+  ``--backend vector`` swaps in the vectorized batch engine (byte-identical
   records, automatic scalar fallback outside its envelope).
   ``--store DIR`` appends the results to a columnar
   :class:`~repro.runner.store.ResultStore` for later querying and
@@ -144,16 +144,13 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_p.add_argument("--workers", type=int, default=None,
                          help="process count (default: serial in-process)")
     sweep_p.add_argument("--cache-dir", default=None,
-                         help="content-addressed result cache; repeated or "
+                         help="result cache: one ResultStore per measurement "
+                              "setting, keyed by config; repeated or "
                               "interrupted campaigns re-execute only missing "
                               "runs")
     sweep_p.add_argument("--fresh", action="store_true",
                          help="ignore existing cache entries (results are "
                               "still written back)")
-    sweep_p.add_argument("--resume", action="store_true",
-                         help="resume an interrupted campaign from --cache-dir "
-                              "(the default behavior; flag kept for explicit "
-                              "intent)")
     sweep_p.add_argument("--warmup-intervals", type=float, default=3.0,
                          help="warmup applied to measures, in analysis "
                               "intervals T")

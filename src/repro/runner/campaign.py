@@ -14,19 +14,23 @@ Features:
   are byte-identical to a serial run (each run is a pure function of
   its config, and the wall-clock engine counters are excluded from
   records).
-* **Content-addressed caching** — with a ``cache_dir``, each record is
-  stored under ``sha256(canonical config + code version + measurement
-  settings)``; a repeated campaign re-executes zero runs, and an
-  interrupted one resumes completing only the missing runs.  Failed
-  runs are never cached.
+* **Result caching** — with a ``cache_dir``, every successful record
+  is kept in a :class:`~repro.runner.store.ResultStore`; a repeated
+  campaign re-executes zero runs, and an interrupted one resumes
+  completing only the missing runs.  Failed runs are never cached.
 * **Failure isolation** — a worker failure becomes an error
   :class:`RunRecord` carrying the config and index instead of killing
   the sweep (``isolate_failures=False`` raises
   :class:`~repro.errors.CampaignError` naming the culprit instead).
 
-Cache layout: ``<cache_dir>/<64-hex-digest>.pkl``, one pickled
-:class:`RunRecord` per file, written atomically (tmp + rename).
-Unreadable or corrupt cache files count as misses.
+Cache layout: ``<cache_dir>/<sha256 of the settings>/`` is an ordinary
+store directory, one per combination of code version,
+:data:`CACHE_FORMAT`, warmup, ``observe``, ``stream_measures`` and
+``backend``.  Inside it a run is found by its canonical config (the
+``config_json`` column); the last row for a config wins, so a ``fresh``
+run supersedes older rows.  A corrupt cache store is logged, every run
+re-executes, and the store is rewritten.  Like ``store_dir``, the cache
+has a single writer: two campaigns must not share it at once.
 """
 
 from __future__ import annotations
@@ -36,19 +40,15 @@ import dataclasses
 import hashlib
 import json
 import logging
-import os
 import pathlib
-import pickle
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Sequence
-
-if TYPE_CHECKING:
-    from repro.runner.store import Query, ResultStore
+from typing import Any, Callable, Iterable, Sequence
 
 from repro._version import __version__
-from repro.errors import CampaignError, ConfigurationError
+from repro.errors import CampaignError, ConfigurationError, StoreError
 from repro.runner.records import RunPerf, RunRecord
 from repro.runner.scenario import Scenario
+from repro.runner.store import Query, ResultStore, canonical_config
 
 __all__ = [
     "CACHE_FORMAT", "BACKENDS", "RunPerf", "RunRecord", "CampaignResult",
@@ -58,18 +58,10 @@ __all__ = [
 
 _log = logging.getLogger(__name__)
 
-#: Bumped when the RunRecord schema or measurement pipeline changes in
-#: a way that invalidates cached records independent of the package
-#: version.  2: columnar/streaming measurement engine — RunRecord grew
-#: ``envelope_occupancy`` and the ``stream_measures`` identity field.
-#: 3: selectable simulation backend — the ``backend`` identity field
-#: keeps scalar and vector records from colliding (they are
-#: byte-identical by contract, but a parity bug must never be masked by
-#: a stale cache hit from the other engine).
-#: 4: columnar result store — RunRecord grew
-#: ``scalar_fallback_reason``, and cache files became versioned
-#: ``{"format": ..., "record": ...}`` envelopes so future schema bumps
-#: are recognized as stale instead of unpickling into garbage.
+#: The record-schema part of the cache identity: bumped when the
+#: RunRecord schema or measurement pipeline changes in a way that
+#: invalidates cached records independent of the package version.
+#: Every store a campaign writes records it as ``cache_format``.
 CACHE_FORMAT = 4
 
 #: Simulation backends a campaign can select.
@@ -119,12 +111,11 @@ class CampaignResult:
     def store(self, meta: dict[str, Any] | None = None):
         """The records as a queryable in-memory
         :class:`~repro.runner.store.ResultStore`."""
-        from repro.runner.store import ResultStore
         return ResultStore.from_records(self.records, meta=meta)
 
 
 # ----------------------------------------------------------------------
-# Worker entry points (module level: must pickle)
+# Worker entry points (module level: pool workers import them by name)
 # ----------------------------------------------------------------------
 
 
@@ -254,7 +245,9 @@ class Campaign:
         configs: Declarative scenario configs, one per run.
         warmup_intervals: Warmup in analysis intervals ``T`` applied to
             every run's measures (part of the cache identity).
-        cache_dir: Result cache directory (``None`` disables caching).
+        cache_dir: Result cache directory (``None`` disables caching):
+            one result store per measurement setting, single-writer
+            (see the module docstring).
         observe: Attach a flight recorder to every run and keep its
             summary on the records (part of the cache identity).
         stream_measures: Compute measures online during each run
@@ -315,57 +308,40 @@ class Campaign:
 
     # -- caching -------------------------------------------------------
 
-    def cache_key(self, config: dict[str, Any]) -> str:
-        """Content address of one run: canonical config JSON + code
-        version + measurement settings."""
-        identity = {
-            "config": config,
+    def _settings(self) -> dict[str, Any]:
+        """What a record depends on besides its config: the cache
+        identity, and the metadata of every store the campaign writes."""
+        return {
             "version": __version__,
-            "format": CACHE_FORMAT,
+            "cache_format": CACHE_FORMAT,
+            "backend": self.backend,
             "warmup_intervals": self.warmup_intervals,
             "observe": self.observe,
             "stream_measures": self.stream_measures,
-            "backend": self.backend,
         }
-        canonical = json.dumps(identity, sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(canonical.encode()).hexdigest()
 
-    def _cache_path(self, config: dict[str, Any]) -> pathlib.Path:
-        return pathlib.Path(self.cache_dir) / f"{self.cache_key(config)}.pkl"
-
-    def _cache_load(self, config: dict[str, Any]) -> RunRecord | None:
-        path = self._cache_path(config)
+    def _cache_hits(self, directory: pathlib.Path,
+                    configs: Sequence[dict[str, Any]]
+                    ) -> dict[int, RunRecord] | None:
+        """The cached records of ``configs`` by position, or ``None``
+        (logged) when the cache store at ``directory`` is corrupt."""
+        if not (directory / "manifest.json").exists():
+            return {}
+        keys = [canonical_config(config) for config in configs]
         try:
-            with path.open("rb") as handle:
-                payload = pickle.load(handle)
-        except (OSError, pickle.UnpicklingError, EOFError, AttributeError,
-                ImportError, IndexError, ValueError, TypeError):
+            store = ResultStore.load(directory)
+            rows = dict(zip(store.values("config_json"), range(store.n_runs)))
+            # A row may come from another campaign position, and its
+            # config has sorted keys; pin this campaign's index and
+            # config (its key order fixes the store_dir column order).
+            return {index: dataclasses.replace(store.record(rows[key]),
+                                               index=index, config=config)
+                    for index, (config, key) in enumerate(zip(configs, keys))
+                    if key in rows}
+        except StoreError as exc:
+            _log.warning("cache store %s is unreadable (%s); re-executing "
+                         "every run", directory, exc)
             return None
-        # Format 4 envelope: {"format": CACHE_FORMAT, "record": record}.
-        # Anything else — a bare pre-4 RunRecord, an envelope from a
-        # different format, foreign pickles — is a logged miss that
-        # re-executes, never an exception: an old cache directory must
-        # not be able to break a new campaign.
-        if isinstance(payload, dict):
-            fmt = payload.get("format")
-            record = payload.get("record")
-            if fmt != CACHE_FORMAT or not isinstance(record, RunRecord):
-                _log.info("cache %s has format %r (current %d); re-executing",
-                          path.name, fmt, CACHE_FORMAT)
-                return None
-            return record
-        if isinstance(payload, RunRecord):
-            _log.info("cache %s is a pre-format-4 bare record; re-executing",
-                      path.name)
-        return None
-
-    def _cache_store(self, config: dict[str, Any], record: RunRecord) -> None:
-        path = self._cache_path(config)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_suffix(f".tmp.{os.getpid()}")
-        with tmp.open("wb") as handle:
-            pickle.dump({"format": CACHE_FORMAT, "record": record}, handle)
-        os.replace(tmp, path)
 
     # -- execution -----------------------------------------------------
 
@@ -397,19 +373,19 @@ class Campaign:
             raise ConfigurationError(
                 f"unknown backend {self.backend!r}; expected one of {BACKENDS}")
 
-        records: list[RunRecord | None] = [None] * len(self.configs)
-        cached = 0
-        if self.cache_dir is not None and not fresh:
-            for index, config in enumerate(self.configs):
-                record = self._cache_load(config)
-                if record is not None and record.error is None:
-                    # Same content hash can be produced from a different
-                    # campaign position; pin the index to this campaign.
-                    records[index] = dataclasses.replace(record, index=index)
-                    cached += 1
+        # Resolved per call, so a tracer patching the store module sees
+        # every append.
+        from repro.runner.store import append_to_dir
 
+        settings = self._settings()
+        hits: dict[int, RunRecord] | None = {}
+        if self.cache_dir is not None:
+            cache = pathlib.Path(self.cache_dir) / hashlib.sha256(
+                json.dumps(settings, sort_keys=True).encode()).hexdigest()
+            hits = self._cache_hits(cache, [] if fresh else self.configs)
+        records = dict(hits or {})
         pending = [(index, config) for index, config in enumerate(self.configs)
-                   if records[index] is None]
+                   if index not in records]
 
         if workers is None or workers == 1:
             fresh_records = [
@@ -428,34 +404,27 @@ class Campaign:
                 ]
                 fresh_records = [future.result() for future in futures]
 
-        failed = 0
+        ok = [record for record in fresh_records if record.error is None]
+        if self.cache_dir is not None and ok:
+            if hits is None:
+                ResultStore.from_records(ok, meta=settings).save(cache)
+            else:
+                append_to_dir(cache, ok, meta=settings)
         for record in fresh_records:
-            if record.error is not None:
-                failed += 1
-                if not isolate_failures:
-                    raise CampaignError(
-                        f"campaign run {record.index} ({record.name!r}, "
-                        f"seed={record.seed}) failed: {record.error}",
-                        index=record.index, config=record.config,
-                    )
-            elif self.cache_dir is not None:
-                self._cache_store(record.config, record)
+            if record.error is not None and not isolate_failures:
+                raise CampaignError(
+                    f"campaign run {record.index} ({record.name!r}, "
+                    f"seed={record.seed}) failed: {record.error}",
+                    index=record.index, config=record.config,
+                )
             records[record.index] = record
 
-        final = [record for record in records if record is not None]
-        assert len(final) == len(self.configs)
+        final = [records[index] for index in range(len(self.configs))]
         result = CampaignResult(records=final, executed=len(fresh_records),
-                                cached=cached, failed=failed)
+                                cached=len(hits or {}),
+                                failed=len(fresh_records) - len(ok))
         if self.store_dir is not None:
-            from repro.runner.store import append_to_dir
-            append_to_dir(self.store_dir, final, meta={
-                "version": __version__,
-                "cache_format": CACHE_FORMAT,
-                "backend": self.backend,
-                "warmup_intervals": self.warmup_intervals,
-                "observe": self.observe,
-                "stream_measures": self.stream_measures,
-            })
+            append_to_dir(self.store_dir, final, meta=settings)
         return result
 
     # -- adaptive driving ----------------------------------------------
@@ -464,7 +433,7 @@ class Campaign:
     def bisect(cls, make_config: Callable[[int, int], dict[str, Any]],
                lo: int, hi: int, *,
                seeds: Sequence[int] = (1,),
-               passes: Callable[["Query"], bool] | None = None,
+               passes: Callable[[Query], bool] | None = None,
                store_dir: str | pathlib.Path | None = None,
                **campaign_kwargs: Any) -> "BisectResult":
         """Find an integer resilience boundary by adaptive bisection.
@@ -500,8 +469,6 @@ class Campaign:
         Raises:
             ConfigurationError: If ``lo > hi``.
         """
-        from repro.runner.store import Query, ResultStore
-
         if lo > hi:
             raise ConfigurationError(f"bisect needs lo <= hi, got [{lo}, {hi}]")
         if passes is None:
@@ -568,7 +535,7 @@ class BisectResult:
     last_pass: int | None
     first_fail: int | None
     probes: dict[int, bool]
-    store: "ResultStore"
+    store: ResultStore
 
 
 # ----------------------------------------------------------------------

@@ -40,7 +40,7 @@ from typing import Any
 from repro.clocks.factories import CLOCK_MODELS
 from repro.core.params import ProtocolParams
 from repro.errors import ConfigurationError
-from repro.net.links import DelayModel, DelaySpec
+from repro.net.links import DelaySpec
 from repro.runner.builders import (
     benign_scenario,
     mobile_byzantine_scenario,
@@ -72,13 +72,6 @@ def params_from_config(spec: dict[str, Any]) -> ProtocolParams:
     :class:`~repro.errors.ConfigurationError` naming the offenders.
     """
     return ProtocolParams.from_config(spec)
-
-
-def delay_from_config(spec: dict[str, Any] | None, delta: float) -> DelayModel | None:
-    """Build a delay model from the ``delay`` config section."""
-    if spec is None:
-        return None
-    return DelaySpec.from_config(spec).build(delta)
 
 
 def scenario_from_config(config: dict[str, Any]) -> Scenario:

@@ -5,7 +5,7 @@ its ``seed``): protocol, network model, clock population, adversary
 plan, and sampling grid.  Every behavioral field is *declarative* — a
 registered name or spec object (clock model name, :class:`DelaySpec`,
 :class:`TopologySpec`, :class:`~repro.adversary.plans.PlanSpec`) — so
-scenarios pickle across process pools and round-trip losslessly through
+scenarios cross process pools and round-trip losslessly through
 JSON via :meth:`Scenario.to_config` / :meth:`Scenario.from_config`.
 
 Raw callables and model instances are still accepted in every slot as a
@@ -158,7 +158,8 @@ class Scenario:
 
     def is_declarative(self) -> bool:
         """Whether every behavioral field is a spec (so the scenario
-        pickles and serializes; raw callables/instances fail this)."""
+        crosses process pools and serializes; raw callables/instances
+        fail this)."""
         return (isinstance(self.protocol, str)
                 and isinstance(self.clock_factory, str)
                 and (self.topology is None

@@ -2,8 +2,8 @@
 
 PR 9's vector backend made 10^5-run campaigns cheap to *produce*; this
 module makes them cheap to *keep and ask questions of*.  Instead of one
-JSON/pickle blob per run, a campaign's records live as struct-of-arrays
-columns over all runs:
+blob per run, a campaign's records live as struct-of-arrays columns
+over all runs:
 
 * every scalar config leaf is exploded into a ``config.<dotted.path>``
   column (query-only; the exact input dict is preserved separately),
@@ -15,9 +15,9 @@ columns over all runs:
 
 The round trip is **lossless**: ``RunRecord`` → store → ``RunRecord``
 reproduces float-exact measures and ``==``-equal config dicts, so the
-content-addressed cache and campaign resume keep working unchanged
-(records remain the unit of execution; the store is the unit of
-storage and analysis).
+store is also the campaign result cache (see
+:mod:`repro.runner.campaign`): records remain the unit of execution,
+the store the unit of storage, caching and analysis.
 
 On-disk format (append-friendly):
 
@@ -67,6 +67,7 @@ __all__ = [
     "ABSENT",
     "STORE_FORMAT",
     "append_to_dir",
+    "canonical_config",
     "AGGREGATES",
 ]
 
@@ -203,7 +204,7 @@ def _fixed_schema() -> list[tuple[str, str, Callable[[RunRecord], Any]]]:
          lambda r: ABSENT if r.scalar_fallback_reason is None
          else r.scalar_fallback_reason),
         ("ok", "bool", lambda r: r.ok),
-        ("config_json", "str", lambda r: _canonical_config(r.config)),
+        ("config_json", "str", lambda r: canonical_config(r.config)),
         ("verdict.measured_deviation", "f8",
          lambda r: _maybe(r.verdict, "measured_deviation")),
         ("verdict.measured_drift", "f8",
@@ -264,14 +265,15 @@ _SCHEMA = _fixed_schema()
 _FIXED_KINDS = {name: kind for name, kind, _ in _SCHEMA}
 
 
-def _canonical_config(config: Mapping[str, Any]) -> str:
-    """Canonical JSON text of a config dict (the lossless copy).
+def canonical_config(config: Mapping[str, Any]) -> str:
+    """Canonical JSON text of a config dict: the lossless copy in the
+    ``config_json`` column, and so the key of a run in the campaign
+    cache.
 
     Raises:
         StoreError: If the config does not survive a JSON round trip
-            (non-string keys, tuples, other non-JSON values) — such a
-            config could not have been cached either, and storing a
-            lossy copy would silently break resume.
+            (non-string keys, tuples, other non-JSON values) — storing
+            a lossy copy would silently break the cache and resume.
     """
     try:
         text = json.dumps(config, sort_keys=True, separators=(",", ":"))
@@ -419,10 +421,6 @@ class ResultStore:
 
     # -- access --------------------------------------------------------
 
-    def column_names(self) -> list[str]:
-        """All column names, fixed schema first then config columns."""
-        return list(self.columns)
-
     def has_column(self, name: str) -> bool:
         """Whether the store has a column named ``name``."""
         return name in self.columns
@@ -456,69 +454,79 @@ class ResultStore:
     # -- record round trip ---------------------------------------------
 
     def record(self, i: int) -> RunRecord:
-        """Reassemble the :class:`RunRecord` of row ``i`` (lossless)."""
+        """Reassemble the :class:`RunRecord` of row ``i`` (lossless).
+
+        Raises:
+            StoreError: If row ``i`` is out of range or its cells are
+                corrupt (a ``config_json`` that is not JSON, ...).
+        """
         if not 0 <= i < self.n_runs:
             raise StoreError(f"row {i} out of range (store has {self.n_runs})")
-        cell = lambda name: self.columns[name].get(i) \
-            if name in self.columns else None
-        verdict = None
-        if cell("verdict.measured_deviation") is not None:
-            verdict = Theorem5Verdict(
-                bounds=Theorem5Bounds(**{
-                    field: cell(f"verdict.bound.{field}")
-                    for field, _ in _BOUNDS_FIELDS}),
-                measured_deviation=cell("verdict.measured_deviation"),
-                measured_drift=cell("verdict.measured_drift"),
-                measured_discontinuity=cell("verdict.measured_discontinuity"),
-                deviation_ok=cell("verdict.deviation_ok"),
-                drift_ok=cell("verdict.drift_ok"),
-                discontinuity_ok=cell("verdict.discontinuity_ok"),
+        try:
+            cell = lambda name: self.columns[name].get(i) \
+                if name in self.columns else None
+            verdict = None
+            if cell("verdict.measured_deviation") is not None:
+                verdict = Theorem5Verdict(
+                    bounds=Theorem5Bounds(**{
+                        field: cell(f"verdict.bound.{field}")
+                        for field, _ in _BOUNDS_FIELDS}),
+                    measured_deviation=cell("verdict.measured_deviation"),
+                    measured_drift=cell("verdict.measured_drift"),
+                    measured_discontinuity=cell("verdict.measured_discontinuity"),
+                    deviation_ok=cell("verdict.deviation_ok"),
+                    drift_ok=cell("verdict.drift_ok"),
+                    discontinuity_ok=cell("verdict.discontinuity_ok"),
+                )
+            accuracy = None
+            if cell("accuracy.max_discontinuity") is not None:
+                accuracy = AccuracyReport(
+                    max_discontinuity=cell("accuracy.max_discontinuity"),
+                    implied_drift=cell("accuracy.implied_drift"),
+                    stretches=cell("accuracy.stretches"),
+                )
+            percentiles = cell("deviation_percentiles")
+            recovery = None
+            if cell("recovery.tolerance") is not None:
+                recovery = RecoveryReport(
+                    events=[RecoveryEvent(node=int(node), released_at=released,
+                                          rejoined_at=rejoined,
+                                          initial_distance=distance)
+                            for node, released, rejoined, distance
+                            in (cell("recovery.events") or [])],
+                    tolerance=cell("recovery.tolerance"),
+                )
+            perf = None
+            if cell("perf.events_processed") is not None:
+                perf = RunPerf(**{field: cell(f"perf.{field}")
+                                  for field, _ in _PERF_FIELDS})
+            config_json = cell("config_json")
+            return RunRecord(
+                index=cell("index"),
+                name=cell("name"),
+                config=json.loads(config_json) if config_json is not None else {},
+                seed=cell("seed"),
+                duration=cell("duration"),
+                warmup=cell("warmup"),
+                verdict=verdict,
+                accuracy=accuracy,
+                deviation_percentiles=(None if percentiles is None
+                                       else {k: v for k, v in percentiles}),
+                recovery=recovery,
+                envelope_occupancy=cell("envelope_occupancy"),
+                corruption_count=cell("corruption_count"),
+                events_processed=cell("events_processed"),
+                messages_delivered=cell("messages_delivered"),
+                sync_executions=cell("sync_executions"),
+                perf=perf,
+                obs=cell("obs"),
+                scalar_fallback_reason=cell("scalar_fallback_reason"),
+                error=cell("error"),
             )
-        accuracy = None
-        if cell("accuracy.max_discontinuity") is not None:
-            accuracy = AccuracyReport(
-                max_discontinuity=cell("accuracy.max_discontinuity"),
-                implied_drift=cell("accuracy.implied_drift"),
-                stretches=cell("accuracy.stretches"),
-            )
-        percentiles = cell("deviation_percentiles")
-        recovery = None
-        if cell("recovery.tolerance") is not None:
-            recovery = RecoveryReport(
-                events=[RecoveryEvent(node=int(node), released_at=released,
-                                      rejoined_at=rejoined,
-                                      initial_distance=distance)
-                        for node, released, rejoined, distance
-                        in (cell("recovery.events") or [])],
-                tolerance=cell("recovery.tolerance"),
-            )
-        perf = None
-        if cell("perf.events_processed") is not None:
-            perf = RunPerf(**{field: cell(f"perf.{field}")
-                              for field, _ in _PERF_FIELDS})
-        config_json = cell("config_json")
-        return RunRecord(
-            index=cell("index"),
-            name=cell("name"),
-            config=json.loads(config_json) if config_json is not None else {},
-            seed=cell("seed"),
-            duration=cell("duration"),
-            warmup=cell("warmup"),
-            verdict=verdict,
-            accuracy=accuracy,
-            deviation_percentiles=(None if percentiles is None
-                                   else {k: v for k, v in percentiles}),
-            recovery=recovery,
-            envelope_occupancy=cell("envelope_occupancy"),
-            corruption_count=cell("corruption_count"),
-            events_processed=cell("events_processed"),
-            messages_delivered=cell("messages_delivered"),
-            sync_executions=cell("sync_executions"),
-            perf=perf,
-            obs=cell("obs"),
-            scalar_fallback_reason=cell("scalar_fallback_reason"),
-            error=cell("error"),
-        )
+        except (ValueError, TypeError, KeyError, IndexError,
+                AttributeError) as exc:
+            raise StoreError(f"row {i} does not reassemble into a record: "
+                             f"{type(exc).__name__}: {exc}") from None
 
     def to_records(self) -> list[RunRecord]:
         """All rows reassembled into records, in store order."""
@@ -646,6 +654,13 @@ def _write_chunk(directory: pathlib.Path, index: int,
 
 def _read_chunk(directory: pathlib.Path, chunk: dict[str, Any],
                 store: ResultStore) -> None:
+    """Append the rows of one chunk to ``store``.
+
+    Raises:
+        StoreError: On a chunk format other than ``"core"``, or naming
+            the chunk's files when anything in them is unreadable,
+            malformed or truncated.
+    """
     name, fmt = chunk.get("name"), chunk.get("format", "core")
     if fmt != "core":
         raise StoreError(f"chunk {name!r} has unknown format {fmt!r}")
@@ -653,33 +668,34 @@ def _read_chunk(directory: pathlib.Path, chunk: dict[str, Any],
     try:
         header = json.loads((directory / f"{name}.json").read_text())
         blob = (directory / f"{name}.bin").read_bytes()
-    except (OSError, json.JSONDecodeError) as exc:
-        raise StoreError(f"unreadable store chunk {name!r}: {exc}") from None
-    runs = int(header["runs"])
-    foreign = header.get("byteorder", sys.byteorder) != sys.byteorder
-    for entry in header["columns"]:
-        column = store._column(entry["name"], entry["kind"])
-        column.pad_to(start)
-        if entry["kind"] in _TYPECODES:
-            data = array(_TYPECODES[entry["kind"]])
-            data.frombytes(blob[entry["offset"]:entry["offset"] + entry["nbytes"]])
-            if foreign and entry["kind"] != "bool":
-                data.byteswap()
-            mask_offset = entry.get("mask_offset")
-            mask = (blob[mask_offset:mask_offset + runs]
-                    if mask_offset is not None else b"\x01" * runs)
-            if len(data) != runs or len(mask) != runs:
-                raise StoreError(f"chunk {name!r} column "
-                                 f"{entry['name']!r} is truncated")
-            column.values.extend(data)
-            column.mask.extend(mask)
-        else:
-            cells = entry["values"]
-            if len(cells) != runs:
-                raise StoreError(f"chunk {name!r} column "
-                                 f"{entry['name']!r} is truncated")
-            column.extend([cell[0] if isinstance(cell, list) else ABSENT
-                           for cell in cells])
+        runs = int(header["runs"])
+        foreign = header.get("byteorder", sys.byteorder) != sys.byteorder
+        for entry in header["columns"]:
+            column = store._column(entry["name"], entry["kind"])
+            column.pad_to(start)
+            if entry["kind"] in _TYPECODES:
+                data = array(_TYPECODES[entry["kind"]])
+                data.frombytes(blob[entry["offset"]:entry["offset"] + entry["nbytes"]])
+                if foreign and entry["kind"] != "bool":
+                    data.byteswap()
+                mask_offset = entry.get("mask_offset")
+                mask = (blob[mask_offset:mask_offset + runs]
+                        if mask_offset is not None else b"\x01" * runs)
+                if len(data) != runs or len(mask) != runs:
+                    raise StoreError(f"column {entry['name']!r} is truncated")
+                column.values.extend(data)
+                column.mask.extend(mask)
+            else:
+                cells = entry["values"]
+                if len(cells) != runs:
+                    raise StoreError(f"column {entry['name']!r} is truncated")
+                column.extend([cell[0] if isinstance(cell, list) else ABSENT
+                               for cell in cells])
+    except (StoreError, OSError, ValueError, TypeError, KeyError,
+            IndexError, AttributeError) as exc:
+        raise StoreError(f"store chunk {directory / str(name)}.json/.bin "
+                         f"named in manifest.json is unreadable: "
+                         f"{type(exc).__name__}: {exc}") from None
     store.n_runs = start + runs
     for column in store.columns.values():
         column.pad_to(store.n_runs)

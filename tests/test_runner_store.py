@@ -3,12 +3,17 @@
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 import math
+import pathlib
 import sys
+import tempfile
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.core.analysis import Theorem5Verdict
 from repro.core.params import Theorem5Bounds
@@ -171,11 +176,11 @@ def assert_aligned(store: ResultStore) -> None:
 
 def assert_append_refused(store, batch, match):
     before = store.to_records()
-    names = store.column_names()
+    names = list(store.columns)
     with pytest.raises(StoreError, match=match):
         store.append_records(batch)
     assert_aligned(store)
-    assert store.column_names() == names
+    assert list(store.columns) == names
     assert store.to_records() == before
 
 
@@ -420,6 +425,54 @@ def test_unknown_chunk_format_is_store_error(tmp_path, records):
     with pytest.raises(StoreError,
                        match="'chunk-000001' has unknown format 'parquet'"):
         ResultStore.load(target)
+
+
+_STORE_FILES = ("manifest.json", "chunk-000000.json", "chunk-000000.bin")
+
+
+@functools.lru_cache(maxsize=1)
+def _two_run_store_files() -> dict[str, bytes]:
+    with tempfile.TemporaryDirectory() as tmp:
+        ResultStore.from_records(
+            [run_config(config(seed)) for seed in (1, 2)]).save(tmp)
+        return {name: (pathlib.Path(tmp) / name).read_bytes()
+                for name in _STORE_FILES}
+
+
+@settings(max_examples=200)
+@given(name=st.sampled_from(_STORE_FILES), flip=st.booleans(),
+       at=st.integers(min_value=0))
+@example(name="chunk-000000.bin", flip=False, at=555)   # frombytes: ValueError
+@example(name="chunk-000000.json", flip=True, at=135)   # UnicodeDecodeError
+@example(name="chunk-000000.json", flip=True, at=216)   # KeyError 'columns'
+@example(name="chunk-000000.json", flip=True, at=1674)  # bad offset: ValueError
+@example(name="chunk-000000.json", flip=True, at=4806)  # config_json not JSON
+def test_corrupt_store_loads_or_raises_store_error(name, flip, at):
+    """Truncate a store file at byte ``at``, or flip its bit ``at``:
+    the store loads and reassembles, or raises a StoreError naming the
+    file (on load) or the row (on reassembly).  Flips inside float data
+    stay undetectable: there is no checksum."""
+    files = _two_run_store_files()
+    data = bytearray(files[name])
+    if flip:
+        bit = at % (8 * len(data))
+        data[bit // 8] ^= 1 << (bit % 8)
+    else:
+        del data[at % len(data):]
+    with tempfile.TemporaryDirectory() as tmp:
+        target = pathlib.Path(tmp)
+        for other, original in files.items():
+            (target / other).write_bytes(data if other == name else original)
+        try:
+            store = ResultStore.load(target)
+        except StoreError as exc:
+            assert ("manifest.json" if name == "manifest.json"
+                    else name.split(".")[0]) in str(exc)
+            return
+        try:
+            store.to_records()
+        except StoreError as exc:
+            assert "row" in str(exc)
 
 
 # ----------------------------------------------------------------------

@@ -70,6 +70,19 @@ def test_collector_resolves_relative_imports():
     assert [t for _, t in collector.imports] == ["repro.core.params"]
 
 
+def test_serializer_import_is_a_finding():
+    """The ResultStore is the only persistence: an ``import pickle``
+    anywhere in the package is a violation."""
+    tool = _load_tool()
+    collector = tool.ImportCollector("repro.runner.campaign")
+    collector.visit(ast.parse("import pickle\nfrom shelve import open\n"))
+    findings = [tool.violation("repro.runner.campaign", target)
+                for _, target in collector.imports]
+    assert all(finding and "ResultStore" in finding for finding in findings)
+    assert len(findings) == 2
+    assert tool.violation("repro.runner.campaign", "json") is None
+
+
 def test_kernel_layers_have_no_upward_imports():
     tool = _load_tool()
     assert tool.check() == []

@@ -16,6 +16,9 @@ ranks, which keeps the store and evaluation layers importable without
 dragging in the executor and structurally prevents cycles.  And nothing
 inside the package may import ``repro.cli`` — the CLI consumes the
 stack, never the other way around (``repro.__main__`` excepted).
+Nor may any module import ``pickle``, ``shelve`` or ``marshal``: the
+:class:`~repro.runner.store.ResultStore` is the only persistence, so
+nothing a campaign reads back can execute code.
 
 The check parses every module under ``src/repro`` with :mod:`ast` and
 records its ``repro.*`` imports.  ``if TYPE_CHECKING:`` blocks are
@@ -77,6 +80,10 @@ RUNNER_RANKS: dict[str, int] = {
     "stats": 5,
     "campaign": 6,
 }
+
+# Records persist only through the columnar ResultStore: no module
+# serializes objects that a later load would have to execute or trust.
+SERIALIZERS = frozenset({"pickle", "shelve", "marshal"})
 
 # The CLI is the top of the whole package: nothing imports it back
 # (``repro.__main__`` is the entry point and the one exception).
@@ -147,40 +154,40 @@ class ImportCollector(ast.NodeVisitor):
             self.imports.append((node.lineno, target))
 
 
+def violation(module: str, target: str) -> str | None:
+    """Why ``module`` may not import ``target`` at runtime (``None``
+    when it may)."""
+    source_layer, target_layer = layer_of(module), layer_of(target)
+    if target_layer in FORBIDDEN.get(source_layer or "", frozenset()):
+        return (f"{module} ({source_layer} layer) imports {target} "
+                f"({target_layer} layer)")
+    if target.split(".")[0] in SERIALIZERS:
+        return (f"{module} imports {target} (the ResultStore is the only "
+                f"persistence)")
+    if (target == CLI_MODULE or target.startswith(CLI_MODULE + ".")) \
+            and module not in CLI_IMPORTERS_ALLOWED:
+        return f"{module} imports {CLI_MODULE} (the CLI is the top of the stack)"
+    source_rank, target_rank = runner_rank(module), runner_rank(target)
+    if (source_rank is not None and target_rank is not None
+            and target_rank >= source_rank):
+        return (f"{module} (runner rank {source_rank}) imports {target} "
+                f"(rank {target_rank}); runner modules may only import "
+                f"strictly lower ranks")
+    return None
+
+
 def check() -> list[str]:
     """Return one violation message per forbidden runtime import."""
     violations = []
     for path in sorted((SRC / PACKAGE).rglob("*.py")):
         module = module_name(path)
-        source_layer = layer_of(module)
-        forbidden = FORBIDDEN.get(source_layer or "", frozenset())
-        source_rank = runner_rank(module)
-        if not forbidden and source_rank is None \
-                and module in CLI_IMPORTERS_ALLOWED:
-            continue
         collector = ImportCollector(module)
         collector.visit(ast.parse(path.read_text(), filename=str(path)))
         for lineno, target in collector.imports:
-            target_layer = layer_of(target)
-            where = f"{path.relative_to(SRC.parent)}:{lineno}"
-            if target_layer in forbidden:
+            reason = violation(module, target)
+            if reason is not None:
                 violations.append(
-                    f"{where}: {module} ({source_layer} layer) imports "
-                    f"{target} ({target_layer} layer)")
-                continue
-            if (target == CLI_MODULE or target.startswith(CLI_MODULE + ".")) \
-                    and module not in CLI_IMPORTERS_ALLOWED:
-                violations.append(
-                    f"{where}: {module} imports {CLI_MODULE} "
-                    f"(the CLI is the top of the stack)")
-                continue
-            target_rank = runner_rank(target)
-            if (source_rank is not None and target_rank is not None
-                    and target_rank >= source_rank):
-                violations.append(
-                    f"{where}: {module} (runner rank {source_rank}) imports "
-                    f"{target} (rank {target_rank}); runner modules may only "
-                    f"import strictly lower ranks")
+                    f"{path.relative_to(SRC.parent)}:{lineno}: {reason}")
     return violations
 
 
@@ -197,7 +204,7 @@ def main() -> int:
                  if runner_rank(module_name(p)) is not None)
     print(f"layering clean: {kernel} kernel modules (no runtime imports "
           f"of obs/runner), {ranked} ranked runner modules (results flow "
-          f"upward), nothing imports the CLI")
+          f"upward), nothing imports the CLI or {'/'.join(sorted(SERIALIZERS))}")
     return 0
 
 
