@@ -43,7 +43,7 @@ class ScrambleState(ByzantineStrategy):
         self.epoch_offset = epoch_offset
 
     def on_leave(self, process, rng: random.Random) -> None:
-        process.clock.hijack_set(process.sim.now,
+        process.clock.hijack_set(process.real_now(),
                                  process.clock.adj + self.clock_offset)
         # Scramble whichever round/epoch counter the protocol keeps.
         if hasattr(process, "epoch"):

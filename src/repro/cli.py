@@ -60,6 +60,7 @@ Subcommands:
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 
 from repro.core.params import ProtocolParams
@@ -403,7 +404,6 @@ def cmd_bounds(args: argparse.Namespace) -> int:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     """Run a campaign of JSON configs; print one row per run record."""
-    import json as json_module
     import pathlib
 
     from repro.runner.campaign import Campaign
@@ -411,11 +411,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     configs = []
     for path in args.configs:
         try:
-            payload = json_module.loads(pathlib.Path(path).read_text())
+            payload = json.loads(pathlib.Path(path).read_text())
         except FileNotFoundError:
             print(f"config file not found: {path}", file=sys.stderr)
             return 2
-        except json_module.JSONDecodeError as exc:
+        except json.JSONDecodeError as exc:
             print(f"invalid JSON in {path}: {exc}", file=sys.stderr)
             return 2
         if isinstance(payload, list):
@@ -479,14 +479,13 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             },
         }
         pathlib.Path(args.json_out).write_text(
-            json_module.dumps(payload, indent=2, sort_keys=True, default=str))
+            json.dumps(payload, indent=2, sort_keys=True, default=str))
         print(f"records written to {args.json_out}")
     return 0 if result.all_ok else 1
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
     """Judge a result store against registered evaluation specs."""
-    import json as json_module
     import pathlib
 
     from repro.errors import EvaluationError, StoreError
@@ -525,7 +524,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
             "reports": [report.to_json() for report in reports],
         }
         pathlib.Path(args.json_out).write_text(
-            json_module.dumps(payload, indent=2, sort_keys=True))
+            json.dumps(payload, indent=2, sort_keys=True))
         print(f"reports written to {args.json_out}")
     if not judged:
         print("no spec applied to this store", file=sys.stderr)
@@ -567,8 +566,6 @@ def cmd_soak(args: argparse.Namespace) -> int:
 
 def cmd_live(args: argparse.Namespace) -> int:
     """Run Sync on real asyncio nodes and report live deviations."""
-    import json as _json
-
     from repro.rt.live import run_live, run_single_node
 
     if args.node_index is not None:
@@ -579,8 +576,8 @@ def cmd_live(args: argparse.Namespace) -> int:
             delta=args.delta, rho=args.rho, pi=args.pi,
             base_port=args.base_port, epoch=args.epoch or 0.0,
             sample_interval=args.sample_interval, seed=args.seed,
-            emit=lambda record: print(_json.dumps(record), flush=True))
-        print(_json.dumps({"summary": summary}), flush=True)
+            emit=lambda record: print(json.dumps(record), flush=True))
+        print(json.dumps({"summary": summary}), flush=True)
         return 0
 
     if args.processes:
@@ -627,16 +624,11 @@ def cmd_live(args: argparse.Namespace) -> int:
                 precision=6))
     if report.transport_counters:
         drop_rows = [[f"node {node}" if node != "_" else "hub",
-                      counters.get("transport_sent", 0),
-                      counters.get("transport_delivered", 0),
-                      counters.get("transport_malformed_dropped", "-"),
-                      counters.get("transport_misrouted_dropped", "-"),
-                      counters.get("transport_version_dropped", "-")]
+                      *_transport_cells(counters)]
                      for node, counters
                      in sorted(report.transport_counters.items())]
         print()
-        print(table(["transport", "sent", "delivered", "malformed",
-                     "misrouted", "version"], drop_rows,
+        print(table(["transport", *_TRANSPORT_HEADERS], drop_rows,
                     title="transport counters", precision=0))
     bounded = report.bounded()
     print(f"\ncluster spread: max {report.max_spread():.6f} "
@@ -658,11 +650,23 @@ def cmd_live(args: argparse.Namespace) -> int:
     return 0 if bounded else 1
 
 
+#: Headers of the transport columns of the ``repro live`` and ``repro
+#: stats`` tables, one per :data:`repro.obs.live.TRANSPORT_COUNTERS`
+#: entry, in its order.
+_TRANSPORT_HEADERS = ("sent", "delivered", "malformed", "misrouted",
+                      "version", "send_drop")
+
+
+def _transport_cells(counters: dict[str, int]) -> list:
+    """One transport's row under :data:`_TRANSPORT_HEADERS` (``-`` for
+    a counter it lacks: a loopback hub drops nothing)."""
+    from repro.obs.live import TRANSPORT_COUNTERS
+    return [counters.get(name, "-") for name, _ in TRANSPORT_COUNTERS]
+
+
 def _write_json(payload, destination: str) -> None:
     """Write a JSON document to a file, or stdout for ``"-"``."""
-    import json as _json
-
-    text = _json.dumps(payload, indent=2, sort_keys=True)
+    text = json.dumps(payload, indent=2, sort_keys=True)
     if destination == "-":
         print(text)
     else:
@@ -673,7 +677,6 @@ def _write_json(payload, destination: str) -> None:
 
 def _cmd_live_processes(args: argparse.Namespace) -> int:
     """Parent side of --processes: spawn one child per node, aggregate."""
-    import json as _json
     import subprocess
     import time
 
@@ -709,7 +712,7 @@ def _cmd_live_processes(args: argparse.Namespace) -> int:
             return 1
         failed = failed or child.returncode != 0
         for line in stdout.splitlines():
-            record = _json.loads(line)
+            record = json.loads(line)
             (summaries if "summary" in record else samples).append(record)
     series = aggregate_process_samples(samples, args.nodes,
                                        args.sample_interval)
@@ -753,22 +756,17 @@ def cmd_query(args: argparse.Namespace) -> int:
             # Seed validate queries with a real server timestamp.
             reply, _ = await client.request(OP_NOW)
             anchor_value, anchor_node = reply.value, reply.node
-            ops = ([args.op] if args.op != "mixed"
-                   else [OP_NOW, OP_VALIDATE, OP_EPOCH])
+            fields = {OP_NOW: {},
+                      OP_VALIDATE: {"ts_value": anchor_value,
+                                    "ts_issuer": anchor_node,
+                                    "max_age": args.max_age},
+                      OP_EPOCH: {"epoch_length": args.epoch_length}}
+            ops = [args.op] if args.op != "mixed" else list(fields)
             for index in range(args.count):
                 op = ops[index % len(ops)]
                 start = perf_counter()
                 try:
-                    if op == OP_NOW:
-                        await client.request(OP_NOW)
-                    elif op == OP_VALIDATE:
-                        await client.request(OP_VALIDATE,
-                                             ts_value=anchor_value,
-                                             ts_issuer=anchor_node,
-                                             max_age=args.max_age)
-                    else:
-                        await client.request(OP_EPOCH,
-                                             epoch_length=args.epoch_length)
+                    await client.request(op, **fields[op])
                     succeeded += 1
                     latencies.append(perf_counter() - start)
                 except QueryError as exc:
@@ -786,26 +784,21 @@ def cmd_query(args: argparse.Namespace) -> int:
         return 1
     if latencies:
         ordered = sorted(latencies)
+        p50 = median(ordered)
         p99 = ordered[min(len(ordered) - 1, int(0.99 * len(ordered)))]
         print(f"queries: {succeeded} ok, {failed} failed against "
               f"{args.host}:{args.port}")
-        print(f"latency: p50 {median(ordered) * 1e3:.2f} ms, "
-              f"p99 {p99 * 1e3:.2f} ms")
-    if args.json_out is not None and latencies:
-        ordered = sorted(latencies)
-        _write_json({"host": args.host, "port": args.port,
-                     "succeeded": succeeded, "failed": failed,
-                     "p50_s": median(ordered),
-                     "p99_s": ordered[min(len(ordered) - 1,
-                                          int(0.99 * len(ordered)))]},
-                    args.json_out)
+        print(f"latency: p50 {p50 * 1e3:.2f} ms, p99 {p99 * 1e3:.2f} ms")
+        if args.json_out is not None:
+            _write_json({"host": args.host, "port": args.port,
+                         "succeeded": succeeded, "failed": failed,
+                         "p50_s": p50, "p99_s": p99}, args.json_out)
     return 0 if failed == 0 and succeeded == args.count else 1
 
 
 def _cmd_query_admin(args: argparse.Namespace) -> int:
     """`repro query --stats/--health`: fetch introspection documents."""
     import asyncio
-    import json as _json
 
     from repro.service.query import QueryError, TimeQueryClient
 
@@ -827,7 +820,7 @@ def _cmd_query_admin(args: argparse.Namespace) -> int:
     if args.json_out is not None:
         _write_json(document, args.json_out)
     else:
-        print(_json.dumps(document, indent=2, sort_keys=True))
+        print(json.dumps(document, indent=2, sort_keys=True))
     health = document.get("health", document)
     return 0 if health.get("bounded") else 1
 
@@ -839,7 +832,6 @@ def cmd_stats(args: argparse.Namespace) -> int:
     ``--require`` metric family present in the exposition, and the
     health document reporting ``bounded=true``.
     """
-    import json as _json
     import urllib.error
     import urllib.request
 
@@ -854,7 +846,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
 
     try:
         exposition = fetch("/metrics").decode("utf-8")
-        stats = _json.loads(fetch("/stats"))
+        stats = json.loads(fetch("/stats"))
     except (urllib.error.URLError, OSError, ValueError) as exc:
         print(f"scrape of {base} failed: {exc}", file=sys.stderr)
         return 1
@@ -889,17 +881,13 @@ def cmd_stats(args: argparse.Namespace) -> int:
             rows.append([
                 "hub" if node == "_" else f"node {node}",
                 health.get("rounds", {}).get(node, "-"),
-                counters.get("transport_sent", 0),
-                counters.get("transport_delivered", 0),
-                counters.get("transport_malformed_dropped", "-"),
-                counters.get("transport_misrouted_dropped", "-"),
-                counters.get("transport_version_dropped", "-"),
+                *_transport_cells(counters),
                 qc.get("queries_answered", "-"),
                 qc.get("queries_failed", "-"),
             ])
         print()
-        print(table(["node", "syncs", "sent", "delivered", "malformed",
-                     "misrouted", "version", "answered", "q_failed"],
+        print(table(["node", "syncs", *_TRANSPORT_HEADERS, "answered",
+                     "q_failed"],
                     rows, title="per-node transport / query counters",
                     precision=0))
     missing: list[str] = []

@@ -19,7 +19,6 @@ from repro.clocks.factories import (
     extremal_clocks,
     perfect_clocks,
     register_clock_model,
-    registered_clock_models,
     wander_clocks,
 )
 from repro.clocks.hardware import (
@@ -46,7 +45,6 @@ __all__ = [
     "ClockFactory",
     "clock_model",
     "register_clock_model",
-    "registered_clock_models",
     "wander_clocks",
     "extremal_clocks",
     "perfect_clocks",

@@ -71,11 +71,6 @@ def clock_model(name: str) -> ClockFactory:
         ) from None
 
 
-def registered_clock_models() -> list[str]:
-    """Sorted names of all registered clock models."""
-    return sorted(CLOCK_MODELS)
-
-
 @register_clock_model("wander")
 def wander_clocks(node: int, params: "ProtocolParams", rng: "random.Random",
                   horizon: float) -> HardwareClock:

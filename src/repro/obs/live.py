@@ -40,6 +40,7 @@ TRANSPORT_COUNTERS = (
     ("transport_malformed_dropped", "malformed_dropped"),
     ("transport_misrouted_dropped", "misrouted_dropped"),
     ("transport_version_dropped", "version_dropped"),
+    ("transport_send_dropped", "send_dropped"),
 )
 
 #: Query-server counter attributes pulled into the registry.
@@ -47,6 +48,7 @@ QUERY_COUNTERS = (
     ("queries_answered", "queries_answered"),
     ("queries_failed", "queries_failed"),
     ("queries_malformed", "malformed_dropped"),
+    ("queries_send_dropped", "send_dropped"),
 )
 
 #: The query-latency histogram family (log-spaced latency buckets),

@@ -16,12 +16,18 @@ point-to-point channels, delivery within ``delta``) for the rt path:
   message it receives"); a production deployment would MAC each
   datagram under a pairwise key.
 
+Every UDP socket of the package — this transport's, and the time
+service's server and client (:mod:`repro.service.query`) — is a
+:class:`UdpEndpoint`: a non-blocking socket read straight off the
+selector loop, up to :data:`DRAIN_LIMIT` datagrams per wakeup.
+
 The wire codec itself lives in :mod:`repro.rt.codec`.
 """
 
 from __future__ import annotations
 
 import asyncio
+import socket
 from abc import ABC, abstractmethod
 from typing import Any, Callable
 
@@ -36,10 +42,22 @@ from repro.runtime.api import MessageHandler
 from repro.runtime.messages import Message
 
 __all__ = [
+    "DRAIN_LIMIT",
     "LoopbackTransport",
     "Transport",
+    "UdpEndpoint",
+    "UdpOwner",
     "UdpTransport",
 ]
+
+#: Most datagrams one readiness wakeup reads before yielding to the
+#: loop: a fairness cap, so Sync timers still run well inside ``delta``
+#: under a query flood.  Readiness is level-triggered, so what a capped
+#: drain leaves in the socket is read on the next loop turn.
+DRAIN_LIMIT = 64
+
+#: ``recvfrom`` buffer size: the largest UDP payload, so nothing is cut.
+_RECV_SIZE = 65536
 
 
 class Transport(ABC):
@@ -113,18 +131,114 @@ class LoopbackTransport(Transport):
         self.loop.call_at(self.loop.time() + self.delay, deliver)
 
 
-class _UdpProtocol(asyncio.DatagramProtocol):
-    """asyncio glue: forwards received datagrams to the owning transport."""
+class UdpEndpoint:
+    """One non-blocking UDP socket on the running selector loop, drained
+    up to :data:`DRAIN_LIMIT` datagrams per wakeup; refusals are counted
+    in ``owner.send_dropped``, never raised.
 
-    def __init__(self, owner: "UdpTransport") -> None:
-        self.owner = owner
+    Each readiness wakeup calls ``recvfrom`` until it would block (at
+    most :data:`DRAIN_LIMIT` times) and hands every ``(data, addr)`` in
+    arrival order to ``owner._on_datagram``, so a burst costs one loop
+    turn instead of one per datagram.  Sends go straight to the socket.
+    An ``OSError`` on either side (a full buffer, an ICMP
+    port-unreachable reported on a later call) is counted and never
+    raised or buffered: UDP may lose datagrams, and the protocol already
+    tolerates loss.
 
-    def datagram_received(self, data: bytes, addr: tuple) -> None:
-        """Decode and deliver one datagram (malformed ones are dropped)."""
-        self.owner._on_datagram(data)
+    Args:
+        owner: Object with ``_on_datagram(data, addr)`` and an int
+            ``send_dropped`` attribute.
+        local_addr: ``(host, port)`` to bind (port 0 picks one).
+        remote_addr: ``(host, port)`` to connect to; :meth:`send` then
+            needs no address.
+
+    Attributes:
+        address: The bound ``(host, port)``.
+    """
+
+    def __init__(self, owner: Any, local_addr: tuple[str, int] | None = None,
+                 remote_addr: tuple[str, int] | None = None) -> None:
+        self._loop = asyncio.get_running_loop()
+        sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+        try:
+            sock.setblocking(False)
+            if local_addr is not None:
+                sock.bind(local_addr)
+            if remote_addr is not None:
+                sock.connect(remote_addr)
+            self._loop.add_reader(sock.fileno(), self._read_ready)
+        except BaseException:
+            sock.close()
+            raise
+        self._sock: socket.socket | None = sock
+        self._owner = owner
+        self.address: tuple[str, int] = sock.getsockname()[:2]
+
+    def _read_ready(self) -> None:
+        sock, deliver = self._sock, self._owner._on_datagram
+        for _ in range(DRAIN_LIMIT):
+            try:
+                data, addr = sock.recvfrom(_RECV_SIZE)
+            except BlockingIOError:
+                return
+            except OSError:
+                # Level-triggered: datagrams behind the error wake the
+                # reader again on the next loop turn.
+                self._owner.send_dropped += 1
+                return
+            deliver(data, addr)
+
+    def sendto(self, data: bytes, addr: tuple[str, int]) -> None:
+        """Send one datagram to ``addr``; a refusal is counted."""
+        try:
+            self._sock.sendto(data, addr)
+        except OSError:
+            self._owner.send_dropped += 1
+
+    def send(self, data: bytes) -> None:
+        """Send one datagram to the connected peer; a refusal is counted."""
+        try:
+            self._sock.send(data)
+        except OSError:
+            self._owner.send_dropped += 1
+
+    def close(self) -> None:
+        """Unregister and close the socket (idempotent)."""
+        sock, self._sock = self._sock, None
+        if sock is not None:
+            self._loop.remove_reader(sock.fileno())
+            sock.close()
 
 
-class UdpTransport(Transport):
+class UdpOwner:
+    """The lifecycle :class:`UdpTransport` and the time service's query
+    server share: one bound :class:`UdpEndpoint`, which reports its
+    refusals into this object's ``send_dropped``.
+
+    Attributes:
+        address: ``(host, port)`` after :meth:`start`.
+        send_dropped: Datagrams the socket refused (see
+            :class:`UdpEndpoint`).
+    """
+
+    _endpoint: UdpEndpoint | None = None
+    address: tuple[str, int] | None = None
+    send_dropped = 0
+
+    async def start(self, host: str = "127.0.0.1", port: int = 0) -> tuple[str, int]:
+        """Bind the UDP socket; returns the actual ``(host, port)``."""
+        self._endpoint = UdpEndpoint(self, local_addr=(host, port))
+        self.address = self._endpoint.address
+        return self.address
+
+    def close(self) -> None:
+        """Close the socket (idempotent)."""
+        if self._endpoint is not None:
+            self._endpoint.close()
+            self._endpoint = None
+
+
+class UdpTransport(UdpOwner, Transport):
     """One node's UDP endpoint on localhost.
 
     Unlike :class:`LoopbackTransport` (a shared hub), each node owns a
@@ -141,7 +255,6 @@ class UdpTransport(Transport):
             binary one node at a time, old-format peers keep working.
 
     Attributes:
-        address: ``(host, port)`` after :meth:`start`.
         messages_sent: Datagrams sent to known peers.
         messages_delivered: Datagrams decoded and handed to the handler.
         malformed_dropped: Datagrams that failed to decode (corruption).
@@ -160,8 +273,6 @@ class UdpTransport(Transport):
         self._now = now
         self._handler: MessageHandler | None = None
         self._peers: dict[int, tuple[str, int]] = {}
-        self._endpoint = None
-        self.address: tuple[str, int] | None = None
         self._msg_id = 0
         self.messages_sent = 0
         self.messages_delivered = 0
@@ -169,25 +280,10 @@ class UdpTransport(Transport):
         self.misrouted_dropped = 0
         self.version_dropped = 0
 
-    async def start(self, host: str = "127.0.0.1", port: int = 0) -> tuple[str, int]:
-        """Bind the UDP socket; returns the actual ``(host, port)``."""
-        loop = asyncio.get_running_loop()
-        self._endpoint, _ = await loop.create_datagram_endpoint(
-            lambda: _UdpProtocol(self), local_addr=(host, port))
-        sockname = self._endpoint.get_extra_info("sockname")
-        self.address = (sockname[0], sockname[1])
-        return self.address
-
     def set_peers(self, peers: dict[int, tuple[str, int]]) -> None:
         """Install the node-id to address map (excluding this node)."""
         self._peers = {node: addr for node, addr in peers.items()
                        if node != self.node_id}
-
-    def close(self) -> None:
-        """Close the socket (idempotent)."""
-        if self._endpoint is not None:
-            self._endpoint.close()
-            self._endpoint = None
 
     def bind(self, node_id: int, handler: MessageHandler) -> None:
         if node_id != self.node_id:
@@ -212,7 +308,7 @@ class UdpTransport(Transport):
                                               self._now(), wire=self.wire),
                               addr)
 
-    def _on_datagram(self, data: bytes) -> None:
+    def _on_datagram(self, data: bytes, addr: tuple | None = None) -> None:
         if self._handler is None:
             return
         try:

@@ -124,11 +124,6 @@ def warmup_for(params: ProtocolParams, intervals: float = 3.0) -> float:
     return intervals * params.t_interval
 
 
-def recommended_tolerance(params: ProtocolParams) -> float:
-    """Recovery tolerance: the Theorem 5 deviation bound."""
-    return params.bounds().max_deviation
-
-
 def geometric_grid(lo: float, hi: float, points: int) -> list[float]:
     """``points`` geometrically spaced values from ``lo`` to ``hi``."""
     if points < 2 or lo <= 0 or hi <= lo:

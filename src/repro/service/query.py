@@ -45,6 +45,7 @@ from repro.rt.codec import (
     encode_datagram,
     register_payload,
 )
+from repro.rt.transport import UdpEndpoint, UdpOwner
 from repro.service.timeservice import SecureTimeService, Timestamp
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -248,17 +249,7 @@ def answer_query(service: SecureTimeService, query: TimeQuery,
 # ---------------------------------------------------------------------------
 
 
-class _QueryEndpoint(asyncio.DatagramProtocol):
-    """asyncio glue shared by server and client endpoints."""
-
-    def __init__(self, on_datagram) -> None:
-        self._on_datagram = on_datagram
-
-    def datagram_received(self, data: bytes, addr: tuple) -> None:
-        self._on_datagram(data, addr)
-
-
-class TimeQueryServer:
+class TimeQueryServer(UdpOwner):
     """A live node's public time endpoint.
 
     Args:
@@ -279,7 +270,6 @@ class TimeQueryServer:
             ``stats`` / ``health`` admin ops.
 
     Attributes:
-        address: ``(host, port)`` after :meth:`start`.
         queries_answered: Total replies sent (including error replies).
         queries_failed: Replies with ``ok=False``.
         malformed_dropped: Datagrams that were not decodable queries.
@@ -299,28 +289,9 @@ class TimeQueryServer:
         self._latency = (metrics.latency_histogram("query_latency_seconds",
                                                    self.node_id)
                          if metrics is not None else None)
-        self._endpoint = None
-        self.address: tuple[str, int] | None = None
         self.queries_answered = 0
         self.queries_failed = 0
         self.malformed_dropped = 0
-
-    async def start(self, host: str = "127.0.0.1",
-                    port: int = 0) -> tuple[str, int]:
-        """Bind the query socket; returns the actual ``(host, port)``."""
-        loop = asyncio.get_running_loop()
-        self._endpoint, _ = await loop.create_datagram_endpoint(
-            lambda: _QueryEndpoint(self._on_datagram),
-            local_addr=(host, port))
-        sockname = self._endpoint.get_extra_info("sockname")
-        self.address = (sockname[0], sockname[1])
-        return self.address
-
-    def close(self) -> None:
-        """Close the socket (idempotent)."""
-        if self._endpoint is not None:
-            self._endpoint.close()
-            self._endpoint = None
 
     def _on_datagram(self, data: bytes, addr: tuple) -> None:
         try:
@@ -337,10 +308,9 @@ class TimeQueryServer:
         self.queries_answered += 1
         if not reply.ok:
             self.queries_failed += 1
-        if self._endpoint is not None:
-            self._endpoint.sendto(
-                encode_datagram(self.node_id, sender, reply,
-                                self.service.now(), wire=self.wire), addr)
+        self._endpoint.sendto(
+            encode_datagram(self.node_id, sender, reply, self.service.now(),
+                            wire=self.wire), addr)
         if self._latency is not None:
             self._latency.observe(time.perf_counter() - started)
 
@@ -369,6 +339,8 @@ class TimeQueryClient:
     Attributes:
         replies_unmatched: Replies whose qid had no waiter (late
             arrivals after a timeout).
+        send_dropped: Queries the socket refused, e.g. no server
+            listening (see :class:`~repro.rt.transport.UdpEndpoint`).
     """
 
     def __init__(self, host: str = "127.0.0.1", port: int = 0,
@@ -381,17 +353,15 @@ class TimeQueryClient:
         self.client_id = int(client_id)
         self.timeout = float(timeout)
         self.wire = wire
-        self._endpoint = None
+        self._endpoint: UdpEndpoint | None = None
         self._qids = itertools.count(1)
         self._pending: dict[int, asyncio.Future] = {}
         self.replies_unmatched = 0
+        self.send_dropped = 0
 
     async def connect(self) -> None:
         """Open the client socket (connected to the server address)."""
-        loop = asyncio.get_running_loop()
-        self._endpoint, _ = await loop.create_datagram_endpoint(
-            lambda: _QueryEndpoint(self._on_datagram),
-            remote_addr=(self.host, self.port))
+        self._endpoint = UdpEndpoint(self, remote_addr=(self.host, self.port))
 
     def close(self) -> None:
         """Close the socket and fail any outstanding requests."""
@@ -435,7 +405,7 @@ class TimeQueryClient:
         future = asyncio.get_running_loop().create_future()
         future.qid = qid
         self._pending[qid] = future
-        self._endpoint.sendto(
+        self._endpoint.send(
             encode_datagram(self.client_id, -1, query, 0.0, wire=self.wire))
         return future
 

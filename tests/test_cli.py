@@ -198,6 +198,19 @@ def test_sweep_stream_flag_caches_separately(tmp_path, capsys):
     assert "1 executed, 0 cached" in out
 
 
+def test_transport_table_has_one_header_per_counter():
+    """`repro live` / `repro stats` print one column per pulled
+    transport counter, under an explicit header."""
+    from repro.cli import _TRANSPORT_HEADERS, _transport_cells
+    from repro.obs.live import TRANSPORT_COUNTERS
+
+    assert len(_TRANSPORT_HEADERS) == len(TRANSPORT_COUNTERS)
+    assert _TRANSPORT_HEADERS[-1] == "send_drop"
+    assert TRANSPORT_COUNTERS[-1][0] == "transport_send_dropped"
+    assert _transport_cells({"transport_sent": 3, "transport_delivered": 2}) \
+        == [3, 2, "-", "-", "-", "-"]
+
+
 def test_live_telemetry_loopback_with_metrics_and_json(tmp_path, capsys):
     """The PR 7 surface through the CLI: telemetry plane, scrape port,
     live trace, JSON report — one short loopback run."""

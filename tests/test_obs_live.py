@@ -217,6 +217,7 @@ class TestIntrospection:
             assert node["transport_malformed_dropped"] == 0
             assert node["transport_misrouted_dropped"] == 0
             assert node["transport_version_dropped"] == 0
+            assert node["transport_send_dropped"] == 0
             assert node["transport_sent"] > 0
         # And the same families land per-node in the registry.
         assert set(snap["counters"]["transport_malformed_dropped"]) == set(

@@ -203,6 +203,7 @@ def test_real_udp_smoke():
         assert counters["transport_malformed_dropped"] == 0
         assert counters["transport_misrouted_dropped"] == 0
         assert counters["transport_version_dropped"] == 0
+        assert counters["transport_send_dropped"] == 0
         assert counters["transport_sent"] > 0
 
 
@@ -218,6 +219,7 @@ def test_telemetry_udp_run_with_metrics_port():
     snap = report.metrics_snapshot
     assert snap["counters"]["syncs_completed"]
     assert set(snap["counters"]["transport_sent"]) == {"0", "1", "2", "3"}
+    assert set(snap["counters"]["queries_send_dropped"]) == {"0", "1", "2", "3"}
     assert set(report.query_ports) == set(range(4))
     assert report.queries_malformed == {node: 0 for node in range(4)}
 

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import asyncio
 import dataclasses
+import socket
+from types import SimpleNamespace
 
 import pytest
 
@@ -17,7 +19,12 @@ from repro.rt.codec import (
     encode_payload,
     register_payload,
 )
-from repro.rt.transport import LoopbackTransport, UdpTransport
+from repro.rt.transport import (
+    DRAIN_LIMIT,
+    LoopbackTransport,
+    UdpEndpoint,
+    UdpTransport,
+)
 from repro.rt.virtualtime import VirtualTimeLoop
 
 
@@ -230,3 +237,103 @@ class TestUdp:
                 transport.close()
 
         self.run_pair(scenario())
+
+
+async def _wait_for(predicate, attempts: int = 200) -> None:
+    for _ in range(attempts):
+        if predicate():
+            return
+        await asyncio.sleep(0.005)
+
+
+class Sink:
+    """Minimal UdpEndpoint owner: records datagrams in arrival order."""
+
+    def __init__(self):
+        self.datagrams = []
+        self.send_dropped = 0
+
+    def _on_datagram(self, data, addr):
+        self.datagrams.append(data)
+
+
+class TestUdpEndpoint:
+    """One socket drained per wakeup; refusals counted, never raised."""
+
+    def test_burst_beyond_drain_limit_is_delivered_in_order(self):
+        # Queued before the loop runs: the capped drain leaves the
+        # tail in the socket, and level-triggered readiness wakes the
+        # reader again until nothing is stranded.
+        count = 3 * DRAIN_LIMIT
+
+        async def scenario():
+            loop = asyncio.get_running_loop()
+            transport = UdpTransport(0, loop.time)
+            address = await transport.start()
+            transport._endpoint._sock.setsockopt(
+                socket.SOL_SOCKET, socket.SO_RCVBUF, 1 << 20)
+            inbox = Inbox(0)
+            transport.bind(0, inbox)
+            with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as peer:
+                for nonce in range(count):
+                    peer.sendto(encode_datagram(1, 0, Ping(nonce=nonce), 0.0),
+                                address)
+                await _wait_for(lambda: len(inbox.received) >= count)
+            transport.close()
+            return [m.payload.nonce for m in inbox.received]
+
+        assert asyncio.run(scenario()) == list(range(count))
+
+    def test_mixed_burst_lands_in_each_counter(self):
+        skewed = bytearray(encode_datagram(1, 0, Ping(nonce=0), 0.0))
+        skewed[1] = 9  # a wire version from the future
+        burst = [b"garbage", encode_datagram(1, 7, Ping(nonce=0), 0.0),
+                 bytes(skewed)]
+
+        async def scenario():
+            loop = asyncio.get_running_loop()
+            transport = UdpTransport(0, loop.time)
+            address = await transport.start()
+            inbox = Inbox(0)
+            transport.bind(0, inbox)
+            with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as peer:
+                for nonce in range(1, 9):
+                    peer.sendto(encode_datagram(1, 0, Ping(nonce=nonce), 0.0),
+                                address)
+                    peer.sendto(burst[nonce % 3], address)
+                await _wait_for(lambda: transport.messages_delivered >= 8
+                                and transport.version_dropped >= 3)
+            transport.close()
+            return (transport.messages_delivered, transport.malformed_dropped,
+                    transport.misrouted_dropped, transport.version_dropped)
+
+        assert asyncio.run(scenario()) == (8, 2, 3, 3)
+
+    def test_close_unregisters_reader_and_is_idempotent(self):
+        async def scenario():
+            loop = asyncio.get_running_loop()
+            endpoint = UdpEndpoint(Sink(), local_addr=("127.0.0.1", 0))
+            fd = endpoint._sock.fileno()
+            endpoint.close()
+            endpoint.close()
+            return loop.remove_reader(fd)
+
+        assert asyncio.run(scenario()) is False
+
+    def test_refused_send_is_counted_not_raised(self):
+        def refuse(*_args):
+            raise BlockingIOError("send buffer full")
+
+        async def scenario():
+            loop = asyncio.get_running_loop()
+            transport = UdpTransport(0, loop.time)
+            await transport.start()
+            transport.set_peers({1: ("127.0.0.1", 9)})
+            real = transport._endpoint._sock
+            transport._endpoint._sock = SimpleNamespace(sendto=refuse)
+            transport.send(0, 1, Ping(nonce=1))
+            transport._endpoint._sock = real
+            transport.close()
+            return transport.messages_sent, transport.send_dropped
+
+        assert asyncio.run(scenario()) == (1, 1)

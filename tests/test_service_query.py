@@ -9,12 +9,14 @@ licenses benchmarking the wire path and trusting the semantics tests.
 from __future__ import annotations
 
 import asyncio
+import socket
 from types import SimpleNamespace
 
 import pytest
 
 from repro.errors import ConfigurationError, ReproError
 from repro.rt.codec import decode_datagram, encode_datagram
+from repro.rt.transport import DRAIN_LIMIT
 from repro.service.query import (
     OP_EPOCH,
     OP_HEALTH,
@@ -393,3 +395,101 @@ class TestTelemetryOnQueryPath:
         self.drive(metered_server)
         assert plain_sent == metered_sent
         assert plain_sent  # the comparison is not vacuous
+
+
+class TestDrainAndRefusals:
+    """The query sockets drain per wakeup and count what they refuse."""
+
+    def test_burst_beyond_drain_limit_is_answered_in_full(self):
+        count = 3 * DRAIN_LIMIT
+
+        async def scenario():
+            server = await _serve(FakeTimeService(start=100.0, step=0.0))
+            server._endpoint._sock.setsockopt(
+                socket.SOL_SOCKET, socket.SO_RCVBUF, 1 << 20)
+            client = TimeQueryClient(port=server.address[1], timeout=2.0)
+            try:
+                await client.connect()
+                client._endpoint._sock.setsockopt(
+                    socket.SOL_SOCKET, socket.SO_RCVBUF, 1 << 20)
+                # Every query is queued before the server's loop runs.
+                futures = [client.submit(OP_NOW) for _ in range(count)]
+                replies = await asyncio.wait_for(asyncio.gather(*futures),
+                                                 timeout=5.0)
+                return ([reply.qid for reply, _ in replies],
+                        server.queries_answered, client.replies_unmatched)
+            finally:
+                client.close()
+                server.close()
+
+        qids, answered, unmatched = asyncio.run(scenario())
+        assert qids == list(range(1, count + 1))
+        assert (answered, unmatched) == (count, 0)
+
+    def test_mixed_burst_counts_junk_and_answers_queries(self):
+        from repro.runtime.messages import Ping
+
+        skewed = bytearray(encode_datagram(-1, 0, TimeQuery(op=OP_NOW, qid=0),
+                                           0.0))
+        skewed[1] = 9  # a wire version from the future
+        junk = [b"garbage", encode_datagram(-1, 0, Ping(nonce=1), 0.0),
+                bytes(skewed)]
+
+        async def scenario():
+            server = await _serve(FakeTimeService())
+            with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as peer:
+                peer.setblocking(False)
+                for qid in range(1, 7):
+                    peer.sendto(encode_datagram(
+                        -1, 0, TimeQuery(op=OP_NOW, qid=qid), 0.0),
+                        server.address)
+                    peer.sendto(junk[qid % 3], server.address)
+                replies = []
+                for _ in range(200):
+                    try:
+                        replies.append(decode_datagram(peer.recv(4096))[2])
+                    except BlockingIOError:
+                        if len(replies) == 6:
+                            break
+                        await asyncio.sleep(0.005)
+            server.close()
+            return ([r.qid for r in replies], server.queries_answered,
+                    server.malformed_dropped)
+
+        assert asyncio.run(scenario()) == (list(range(1, 7)), 6, 6)
+
+    def test_refused_reply_is_counted_not_raised(self):
+        def refuse(*_args):
+            raise BlockingIOError("send buffer full")
+
+        async def scenario():
+            server = await _serve(FakeTimeService())
+            real = server._endpoint._sock
+            server._endpoint._sock = SimpleNamespace(sendto=refuse)
+            server._on_datagram(
+                encode_datagram(-1, 0, TimeQuery(op=OP_NOW, qid=1), 0.0),
+                ("127.0.0.1", 9))
+            server._endpoint._sock = real
+            server.close()
+            return server.queries_answered, server.send_dropped
+
+        assert asyncio.run(scenario()) == (1, 1)
+
+    def test_query_to_closed_port_is_counted_not_raised(self):
+        # ICMP port-unreachable comes back on the connected socket as
+        # ECONNREFUSED from a later recv or send: counted, never raised.
+        async def scenario():
+            with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as probe:
+                probe.bind(("127.0.0.1", 0))
+                port = probe.getsockname()[1]
+            client = TimeQueryClient(port=port)
+            await client.connect()
+            futures = []
+            for _ in range(3):
+                futures.append(client.submit(OP_NOW))
+                await asyncio.sleep(0.02)
+            client.close()
+            assert all(isinstance(f.exception(), QueryError) for f in futures)
+            return client.send_dropped
+
+        assert asyncio.run(scenario()) >= 1

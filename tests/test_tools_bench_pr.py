@@ -62,6 +62,8 @@ def test_pairs_medians_and_layers(tmp_path):
     assert rate["parent"]["median"] == 110.0
     assert rate["change"]["median"] == 140.0
     assert rate["change_over_parent"] == 140.0 / 110.0
+    assert rate["by_seed"] == {"1": [100.0, 150.0], "2": [110.0, 140.0],
+                               "3": [120.0, 119.0]}
     wall = document["end_to_end"]["scalar_stream"]["wall_s"]
     assert wall["pairs_won"] == 2             # lower is better: same 2 seeds
     layers = document["per_layer"]["scalar_stream"]

@@ -142,3 +142,22 @@ def test_cli_is_import_terminal():
     tool = _load_tool()
     assert tool.CLI_MODULE == "repro.cli"
     assert tool.CLI_IMPORTERS_ALLOWED == {"repro.__main__", "repro.cli"}
+
+
+def test_asyncio_datagram_transport_is_a_finding():
+    """UdpEndpoint is the only UDP mechanism: asyncio's datagram
+    endpoint or protocol named anywhere in the package is flagged."""
+    tool = _load_tool()
+    source = (
+        "import asyncio\n"
+        "from asyncio import DatagramProtocol\n"
+        "class P(asyncio.DatagramProtocol):\n"
+        "    pass\n"
+        "async def go(loop):\n"
+        "    await loop.create_datagram_endpoint(P, local_addr=('', 0))\n"
+    )
+    collector = tool.ImportCollector("repro.rt.transport")
+    collector.visit(ast.parse(source))
+    assert collector.udp_names == [(2, "DatagramProtocol"),
+                                   (3, "DatagramProtocol"),
+                                   (6, "create_datagram_endpoint")]

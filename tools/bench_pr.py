@@ -10,7 +10,7 @@ into that file:
 
 * per workload and end-to-end metric: each side's median and quartiles
   (``compare.py``'s own arithmetic and verdict), the ratio of medians,
-  and how many same-seed pairs the change won;
+  how many same-seed pairs the change won, and every pair by seed;
 * per workload and per-layer metric (traced runs, ``--trace 1``): each
   side's median, beside the number of traced units it covers (a faster
   side fits more units into the same time, so its ``_s`` totals and
@@ -46,10 +46,10 @@ def side_stats(values: list[float]) -> dict:
 
 
 def paired(base: list[dict], new: list[dict], kind: str, name: str):
-    """``(base value, new value)`` per seed both sides ran."""
+    """``(seed, base value, new value)`` per seed both sides ran."""
     by_seed = {run["seed"]: run[kind]["metrics"].get(name)
                for run in new if kind in run}
-    return [(run[kind]["metrics"][name], by_seed[run["seed"]])
+    return [(run["seed"], run[kind]["metrics"][name], by_seed[run["seed"]])
             for run in base if kind in run
             and name in run[kind]["metrics"]
             and by_seed.get(run["seed"]) is not None]
@@ -68,8 +68,8 @@ def summarize(base_runs: dict, new_runs: dict) -> dict:
             if not pairs:
                 continue
             sign = 1.0 if metric["better"] == "higher" else -1.0
-            before = [b for b, _ in pairs]
-            after = [n for _, n in pairs]
+            before = [b for _, b, _ in pairs]
+            after = [n for _, _, n in pairs]
             parent, change = side_stats(before), side_stats(after)
             end_to_end.setdefault(workload, {})[metric["name"]] = {
                 "unit": metric["unit"], "better": metric["better"],
@@ -77,18 +77,19 @@ def summarize(base_runs: dict, new_runs: dict) -> dict:
                 "parent": parent, "change": change,
                 "change_over_parent": change["median"] / parent["median"],
                 "pairs": len(pairs),
-                "pairs_won": sum(sign * n > sign * b for b, n in pairs),
+                "pairs_won": sum(sign * n > sign * b for _, b, n in pairs),
                 "verdict": compare.verdict(metric, before, after),
+                "by_seed": {str(seed): [b, n] for seed, b, n in pairs},
             }
         layer_names = sorted({name for run in base + new
                               for name in run.get("per_layer", {})
                               .get("metrics", {})})
         for name in layer_names:
             pairs = paired(base, new, "per_layer", name)
-            if pairs and any(b or n for b, n in pairs):
+            if pairs and any(b or n for _, b, n in pairs):
                 per_layer.setdefault(workload, {})[name] = {
-                    "parent": statistics.median(b for b, _ in pairs),
-                    "change": statistics.median(n for _, n in pairs),
+                    "parent": statistics.median(b for _, b, _ in pairs),
+                    "change": statistics.median(n for _, _, n in pairs),
                     "runs": len(pairs)}
         if workload in per_layer:
             per_layer[workload]["traced_units"] = {

@@ -19,6 +19,9 @@ stack, never the other way around (``repro.__main__`` excepted).
 Nor may any module import ``pickle``, ``shelve`` or ``marshal``: the
 :class:`~repro.runner.store.ResultStore` is the only persistence, so
 nothing a campaign reads back can execute code.
+And UDP has one mechanism, :class:`~repro.rt.transport.UdpEndpoint`
+(a non-blocking socket drained per wakeup): no module may name asyncio's
+``create_datagram_endpoint`` or ``DatagramProtocol``.
 
 The check parses every module under ``src/repro`` with :mod:`ast` and
 records its ``repro.*`` imports.  ``if TYPE_CHECKING:`` blocks are
@@ -85,6 +88,11 @@ RUNNER_RANKS: dict[str, int] = {
 # serializes objects that a later load would have to execute or trust.
 SERIALIZERS = frozenset({"pickle", "shelve", "marshal"})
 
+# Every UDP socket is a repro.rt.transport.UdpEndpoint: asyncio's
+# one-datagram-per-loop-turn transport must not come back beside it.
+UDP_FORBIDDEN_NAMES = frozenset({"create_datagram_endpoint",
+                                 "DatagramProtocol"})
+
 # The CLI is the top of the whole package: nothing imports it back
 # (``repro.__main__`` is the entry point and the one exception).
 CLI_MODULE = f"{PACKAGE}.cli"
@@ -122,6 +130,7 @@ class ImportCollector(ast.NodeVisitor):
     def __init__(self, module: str) -> None:
         self.module = module
         self.imports: list[tuple[int, str]] = []
+        self.udp_names: list[tuple[int, str]] = []
 
     def visit_If(self, node: ast.If) -> None:
         if self._is_type_checking(node.test):
@@ -135,6 +144,11 @@ class ImportCollector(ast.NodeVisitor):
     def _is_type_checking(test: ast.expr) -> bool:
         return (isinstance(test, ast.Name) and test.id == "TYPE_CHECKING") or (
             isinstance(test, ast.Attribute) and test.attr == "TYPE_CHECKING")
+
+    def visit_Attribute(self, node: ast.Attribute) -> None:
+        if node.attr in UDP_FORBIDDEN_NAMES:
+            self.udp_names.append((node.lineno, node.attr))
+        self.generic_visit(node)
 
     def visit_Import(self, node: ast.Import) -> None:
         for alias in node.names:
@@ -152,6 +166,8 @@ class ImportCollector(ast.NodeVisitor):
             target = node.module or ""
         if target:
             self.imports.append((node.lineno, target))
+        self.udp_names.extend((node.lineno, alias.name) for alias in node.names
+                              if alias.name in UDP_FORBIDDEN_NAMES)
 
 
 def violation(module: str, target: str) -> str | None:
@@ -188,6 +204,10 @@ def check() -> list[str]:
             if reason is not None:
                 violations.append(
                     f"{path.relative_to(SRC.parent)}:{lineno}: {reason}")
+        for lineno, name in collector.udp_names:
+            violations.append(
+                f"{path.relative_to(SRC.parent)}:{lineno}: {module} uses "
+                f"asyncio {name} (UdpEndpoint is the only UDP mechanism)")
     return violations
 
 
@@ -204,7 +224,8 @@ def main() -> int:
                  if runner_rank(module_name(p)) is not None)
     print(f"layering clean: {kernel} kernel modules (no runtime imports "
           f"of obs/runner), {ranked} ranked runner modules (results flow "
-          f"upward), nothing imports the CLI or {'/'.join(sorted(SERIALIZERS))}")
+          f"upward), nothing imports the CLI or {'/'.join(sorted(SERIALIZERS))}"
+          f", no asyncio datagram transport")
     return 0
 
 
