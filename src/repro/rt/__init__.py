@@ -12,9 +12,12 @@ the deployment one:
   accepted on decode for rolling upgrades);
 * :mod:`repro.rt.transport` — in-memory loopback and UDP transports
   over the codec;
-* :mod:`repro.rt.virtualtime` — a controllable virtual-time loop so the
-  rt path is testable deterministically;
 * :mod:`repro.rt.live` — cluster wiring and the ``repro live`` engine.
+
+The deterministic loop is the simulator: :class:`repro.sim.engine.Simulator`
+offers the asyncio ``time()``/``call_at()`` surface this package uses,
+so tests drive the rt path in virtual time.  The loop stays duck-typed;
+nothing here imports :mod:`repro.sim`.
 """
 
 from repro.rt.codec import (
@@ -45,7 +48,6 @@ from repro.rt.live import (
 )
 from repro.rt.runtime import AsyncioRuntime, RtTimerHandle
 from repro.rt.transport import LoopbackTransport, Transport, UdpTransport
-from repro.rt.virtualtime import ScheduledCall, VirtualTimeLoop
 
 __all__ = [
     "GENERIC_TAG",
@@ -75,6 +77,4 @@ __all__ = [
     "encode_datagram",
     "encode_payload",
     "register_payload",
-    "ScheduledCall",
-    "VirtualTimeLoop",
 ]

@@ -14,9 +14,9 @@ the standard :class:`~repro.obs.bus.EventBus`:
   live analogue of Definition 3's pairwise deviation;
 * ``live.sync`` — one event per completed Sync (correction, round).
 
-The same wiring runs under a :class:`~repro.rt.virtualtime.VirtualTimeLoop`
-via :func:`build_cluster` + ``loop.run_until`` — that path is what the
-cross-runtime conformance suite drives deterministically.
+The same wiring runs on a :class:`~repro.sim.engine.Simulator` via
+:func:`build_cluster` + ``sim.run(until=...)`` — that path is what the
+rt tests and ``tools/check_determinism.py`` drive deterministically.
 
 :func:`run_live` finishes by fronting each node with a
 :class:`~repro.service.timeservice.SecureTimeService`, so the service
@@ -87,11 +87,11 @@ class LiveCluster:
     """One wired-up live cluster (runtimes, processes, telemetry).
 
     Built by :func:`build_cluster`; drive it with a real loop
-    (:func:`run_live`) or a virtual one (``loop.run_until``).
+    (:func:`run_live`) or the simulator (``loop.run(until=...)``).
 
     Attributes:
         params: Protocol parameterization.
-        loop: The event loop (real or virtual).
+        loop: The event loop (real asyncio or the simulator).
         epoch: Loop time corresponding to ``tau = 0``.
         clocks: Logical clocks by node.
         runtimes: The per-node runtimes.

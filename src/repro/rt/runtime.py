@@ -16,8 +16,8 @@ and real sockets:
 * ``send`` hands the payload to a :mod:`repro.rt.transport`.
 
 The ``loop`` may be a real asyncio event loop (wall-clock deployment)
-or a :class:`~repro.rt.virtualtime.VirtualTimeLoop` (deterministic
-tests); both expose ``time()`` and ``call_at()``.
+or a :class:`~repro.sim.engine.Simulator` (deterministic virtual time);
+both expose ``time()`` and ``call_at()``.
 
 Timer cancellation follows the queue-honest contract of
 :mod:`repro.runtime.api` uniformly: asyncio's own handles would report
@@ -40,7 +40,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 
 class RtTimerHandle(TimerHandle):
-    """Timer token over an asyncio (or virtual-loop) handle.
+    """Timer token over an asyncio handle (or a simulator event).
 
     Keeps its own ``fired`` flag because asyncio's ``TimerHandle``
     cannot distinguish "cancelled while pending" from "cancelled after
@@ -83,8 +83,7 @@ class AsyncioRuntime(NodeRuntime):
             simply ticks with the wall.
         transport: Message fabric (:class:`~repro.rt.transport.LoopbackTransport`
             or :class:`~repro.rt.transport.UdpTransport`).
-        loop: Real asyncio loop or
-            :class:`~repro.rt.virtualtime.VirtualTimeLoop`.
+        loop: Real asyncio loop or :class:`~repro.sim.engine.Simulator`.
         epoch: Loop time treated as ``tau = 0``; defaults to the loop's
             current time at construction.  All runtimes of one cluster
             must share an epoch or their ``tau`` scales diverge.

@@ -5,9 +5,9 @@ point-to-point channels, delivery within ``delta``) for the rt path:
 
 * :class:`LoopbackTransport` — an in-memory hub for N nodes sharing one
   event loop.  Delivery is a ``call_at`` with a configurable fixed
-  delay, so under a :class:`~repro.rt.virtualtime.VirtualTimeLoop` it
-  reproduces the simulator's ``FixedDelay`` network exactly — the
-  substrate of the cross-runtime conformance tests.
+  delay, so on a :class:`~repro.sim.engine.Simulator` it reproduces
+  the simulator's ``FixedDelay`` network exactly — the substrate of
+  the cross-runtime conformance tests.
 * :class:`UdpTransport` — one UDP socket per node on localhost, binary
   datagrams (see :mod:`repro.rt.codec`), for genuine multi-node (and
   multi-process) deployment.  Sender identity is carried in the
@@ -81,10 +81,10 @@ class LoopbackTransport(Transport):
     """In-memory full-mesh transport for nodes sharing one event loop.
 
     Args:
-        loop: Real asyncio loop or virtual-time loop (needs ``time()``
+        loop: Real asyncio loop or the simulator (needs ``time()``
             and ``call_at()``).
         delay: Fixed one-way delivery delay in seconds.  Constant on
-            purpose: under a virtual loop this makes the transport a
+            purpose: on the simulator this makes the transport a
             faithful twin of the simulator's ``FixedDelay`` network.
         now: Callable returning the cluster tau used to stamp
             ``sent_at`` / ``delivered_at``; defaults to ``loop.time``.

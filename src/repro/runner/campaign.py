@@ -24,19 +24,22 @@ Features:
   :class:`~repro.errors.CampaignError` naming the culprit instead).
 
 Cache layout: ``<cache_dir>/<sha256 of the settings>/`` is an ordinary
-store directory, one per combination of code version,
-:data:`CACHE_FORMAT`, warmup, ``observe``, ``stream_measures`` and
-``backend``.  Inside it a run is found by its canonical config (the
-``config_json`` column); the last row for a config wins, so a ``fresh``
-run supersedes older rows.  A corrupt cache store is logged, every run
-re-executes, and the store is rewritten.  Like ``store_dir``, the cache
-has a single writer: two campaigns must not share it at once.
+store directory, one per combination of source code (a sha256 over
+every ``repro/**/*.py`` file, so an edit to Figure 1 cannot be served
+records the old code computed), :data:`CACHE_FORMAT`, warmup,
+``observe``, ``stream_measures`` and ``backend``.  Inside it a run is
+found by its canonical config (the ``config_json`` column); the last
+row for a config wins, so a ``fresh`` run supersedes older rows.  A
+corrupt cache store is logged, every run re-executes, and the store is
+rewritten.  Like ``store_dir``, the cache has a single writer: two
+campaigns must not share it at once.
 """
 
 from __future__ import annotations
 
 import concurrent.futures
 import dataclasses
+import functools
 import hashlib
 import json
 import logging
@@ -66,6 +69,18 @@ CACHE_FORMAT = 4
 
 #: Simulation backends a campaign can select.
 BACKENDS = ("scalar", "vector")
+
+
+@functools.cache
+def _source_digest() -> str:
+    """sha256 over the package's sources (``repro/**/*.py``, in sorted
+    path order, each path with its bytes); computed once per process."""
+    package = pathlib.Path(__file__).resolve().parents[1]
+    digest = hashlib.sha256()
+    for path in sorted(package.rglob("*.py")):
+        digest.update(path.relative_to(package).as_posix().encode() + b"\0")
+        digest.update(path.read_bytes())
+    return digest.hexdigest()
 
 
 @dataclass(frozen=True)
@@ -313,6 +328,7 @@ class Campaign:
         identity, and the metadata of every store the campaign writes."""
         return {
             "version": __version__,
+            "source": _source_digest(),
             "cache_format": CACHE_FORMAT,
             "backend": self.backend,
             "warmup_intervals": self.warmup_intervals,

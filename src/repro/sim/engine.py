@@ -120,6 +120,21 @@ class Simulator:
             )
         return self._queue.push(time, callback, tag)
 
+    def time(self) -> float:
+        """asyncio's ``loop.time()``: the current simulated time ``now``."""
+        return self.now
+
+    def call_at(self, when: float, callback: Callable[[], None]) -> Event:
+        """asyncio's ``loop.call_at``: schedule ``callback`` at ``when``.
+
+        Unlike :meth:`schedule_at`, a ``when`` in the past fires at
+        ``now`` (asyncio semantics) and never rewinds the clock.  With
+        :meth:`time` this is the loop surface :mod:`repro.rt` uses, so
+        :class:`~repro.rt.runtime.AsyncioRuntime` and its transports run
+        deterministically on the simulator.
+        """
+        return self._queue.push(max(when, self.now), callback)
+
     def cancel(self, event: Event) -> None:
         """Cancel a previously scheduled event (no-op if already fired).
 

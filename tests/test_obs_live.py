@@ -16,17 +16,17 @@ from repro.obs.live import (
     merged_latency,
 )
 from repro.rt.live import build_cluster, default_live_params
-from repro.rt.virtualtime import VirtualTimeLoop
+from repro.sim.engine import Simulator
 
 
 def telemetry_run(duration=4.0, seed=3, n=4, f=1, config=None,
                   sample_interval=0.1):
     params = default_live_params(n=n, f=f)
-    loop = VirtualTimeLoop()
+    loop = Simulator(seed=0)
     cluster = build_cluster(params, loop, seed=seed, transport="loopback",
                             telemetry=True if config is None else config)
     cluster.start(sample_interval=sample_interval)
-    loop.run_until(duration)
+    loop.run(until=duration)
     cluster.sample_once()
     return params, cluster
 
@@ -112,12 +112,12 @@ class TestLiveTelemetry:
         # process, as it does on the simulator, and the span tree is
         # readable through the same accessor.
         params = default_live_params(n=4, f=1)
-        loop = VirtualTimeLoop()
+        loop = Simulator(seed=0)
         cluster = build_cluster(params, loop, seed=3, transport="loopback",
                                 telemetry=ObsConfig(monitors=True))
         cluster.clocks[2].adj += 5.0
         cluster.start(0.1)
-        loop.run_until(4.0)
+        loop.run(until=4.0)
         alerts = [event for event in cluster.telemetry.events
                   if event.kind == "monitor.alert"]
         assert any(event.node == 2 for event in alerts)
@@ -147,10 +147,10 @@ class TestIntrospection:
 
     def test_health_without_telemetry(self):
         params = default_live_params()
-        loop = VirtualTimeLoop()
+        loop = Simulator(seed=0)
         cluster = build_cluster(params, loop, seed=3, transport="loopback")
         cluster.start(sample_interval=0.1)
-        loop.run_until(2.0)
+        loop.run(until=2.0)
         cluster.sample_once()
         doc = cluster.introspection().health()
         assert doc["bounded"] is True
@@ -167,7 +167,7 @@ class TestIntrospection:
     def test_health_not_bounded_before_first_sample(self):
         # Zero samples means no evidence: health must not claim bounded.
         params = default_live_params()
-        loop = VirtualTimeLoop()
+        loop = Simulator(seed=0)
         cluster = build_cluster(params, loop, seed=3, transport="loopback",
                                 telemetry=True)
         doc = cluster.introspection().health()
@@ -259,12 +259,12 @@ class TestDeterminism:
     def test_telemetry_does_not_change_decisions(self):
         def decisions(telemetry: bool):
             params = default_live_params()
-            loop = VirtualTimeLoop()
+            loop = Simulator(seed=0)
             cluster = build_cluster(params, loop, seed=5,
                                     transport="loopback",
                                     telemetry=telemetry)
             cluster.start(sample_interval=0.1)
-            loop.run_until(3.0)
+            loop.run(until=3.0)
             return {
                 node: [(r.round_no, r.correction, r.m, r.big_m)
                        for r in proc.sync_records]

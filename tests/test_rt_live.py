@@ -1,5 +1,5 @@
-"""Live-cluster wiring tests (deterministic via the virtual loop, plus
-one short real-asyncio smoke)."""
+"""Live-cluster wiring tests (deterministic on the simulator's virtual
+time, plus one short real-asyncio smoke)."""
 
 from __future__ import annotations
 
@@ -15,15 +15,15 @@ from repro.rt.live import (
     make_live_clocks,
     run_live,
 )
-from repro.rt.virtualtime import VirtualTimeLoop
+from repro.sim.engine import Simulator
 
 
 def virtual_run(duration=4.0, seed=3, n=4, f=1):
     params = default_live_params(n=n, f=f)
-    loop = VirtualTimeLoop()
+    loop = Simulator(seed=0)
     cluster = build_cluster(params, loop, seed=seed, transport="loopback")
     cluster.start(sample_interval=0.1)
-    loop.run_until(duration)
+    loop.run(until=duration)
     cluster.sample_once()
     return params, cluster
 
@@ -47,11 +47,11 @@ class TestVirtualCluster:
         kinds = []
         bus.subscribe(lambda event: kinds.append(event.kind))
         params = default_live_params()
-        loop = VirtualTimeLoop()
+        loop = Simulator(seed=0)
         cluster = build_cluster(params, loop, seed=1, transport="loopback",
                                 bus=bus)
         cluster.start(sample_interval=0.25)
-        loop.run_until(2.0)
+        loop.run(until=2.0)
         assert "live.deviation" in kinds
         assert "live.spread" in kinds
         assert "live.sync" in kinds
@@ -133,7 +133,7 @@ class TestAggregation:
 class TestTelemetryWiring:
     def test_build_cluster_attaches_telemetry(self):
         params = default_live_params()
-        loop = VirtualTimeLoop()
+        loop = Simulator(seed=0)
         cluster = build_cluster(params, loop, seed=1, transport="loopback",
                                 telemetry=True)
         assert cluster.telemetry is not None
@@ -141,7 +141,7 @@ class TestTelemetryWiring:
         assert all(proc.obs is cluster.bus
                    for proc in cluster.processes.values())
         # Default stays uninstrumented: no bus on any process.
-        bare = build_cluster(params, VirtualTimeLoop(), seed=1,
+        bare = build_cluster(params, Simulator(seed=0), seed=1,
                              transport="loopback")
         assert bare.telemetry is None
         assert all(proc.obs is None for proc in bare.processes.values())
@@ -150,7 +150,7 @@ class TestTelemetryWiring:
         from repro.obs import ObsConfig
 
         params = default_live_params()
-        cluster = build_cluster(params, VirtualTimeLoop(), seed=1,
+        cluster = build_cluster(params, Simulator(seed=0), seed=1,
                                 transport="loopback",
                                 telemetry=ObsConfig(spans=False,
                                                     probes=False))

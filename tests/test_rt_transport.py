@@ -25,7 +25,7 @@ from repro.rt.transport import (
     UdpEndpoint,
     UdpTransport,
 )
-from repro.rt.virtualtime import VirtualTimeLoop
+from repro.sim.engine import Simulator
 
 
 class Inbox:
@@ -101,15 +101,15 @@ class TestCodec:
 
 class TestLoopback:
     def test_delivery_after_fixed_delay(self):
-        loop = VirtualTimeLoop()
+        loop = Simulator(seed=0)
         hub = LoopbackTransport(loop, delay=0.25)
         a, b = Inbox(0), Inbox(1)
         hub.bind(0, a)
         hub.bind(1, b)
         hub.send(0, 1, Ping(nonce=1))
-        loop.run_until(0.2)
+        loop.run(until=0.2)
         assert b.received == []
-        loop.run_until(0.3)
+        loop.run(until=0.3)
         assert len(b.received) == 1
         message = b.received[0]
         assert message.sender == 0 and message.recipient == 1
@@ -117,29 +117,29 @@ class TestLoopback:
         assert message.delivered_at == 0.25
 
     def test_neighbors_excludes_self(self):
-        loop = VirtualTimeLoop()
+        loop = Simulator(seed=0)
         hub = LoopbackTransport(loop, delay=0.01)
         for node in range(3):
             hub.bind(node, Inbox(node))
         assert sorted(hub.neighbors(1)) == [0, 2]
 
     def test_send_to_unbound_node_is_dropped(self):
-        loop = VirtualTimeLoop()
+        loop = Simulator(seed=0)
         hub = LoopbackTransport(loop, delay=0.01)
         hub.bind(0, Inbox(0))
         hub.send(0, 99, Ping(nonce=1))
-        loop.run_until(1.0)
+        loop.run(until=1.0)
         assert hub.messages_delivered == 0
 
     def test_fifo_per_link(self):
-        loop = VirtualTimeLoop()
+        loop = Simulator(seed=0)
         hub = LoopbackTransport(loop, delay=0.1)
         receiver = Inbox(1)
         hub.bind(0, Inbox(0))
         hub.bind(1, receiver)
         for nonce in range(5):
             hub.send(0, 1, Ping(nonce=nonce))
-        loop.run_until(1.0)
+        loop.run(until=1.0)
         assert [m.payload.nonce for m in receiver.received] == list(range(5))
 
 

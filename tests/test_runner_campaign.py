@@ -12,10 +12,15 @@ import dataclasses
 import hashlib
 import json
 import os
+import pathlib
 import pickle
+import shutil
+import subprocess
+import sys
 
 import pytest
 
+import repro
 from repro._version import __version__
 from repro.errors import CampaignError, ConfigurationError
 from repro.runner.builders import (
@@ -265,6 +270,38 @@ class TestCaching:
         for path in cache.rglob("*.pkl"):
             pickle.loads(path.read_bytes())      # the payload is armed
         assert marker.exists()
+
+
+    def test_source_edit_invalidates_the_cache(self, tmp_path):
+        """The cache identity covers the source bytes: after a one-byte
+        edit to Figure 1's module, no record the old code computed is
+        served; an unedited rerun still executes nothing."""
+        src = tmp_path / "src"
+        shutil.copytree(pathlib.Path(repro.__file__).parent, src / "repro",
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        configs = [config(seed=seed, duration=2.0) for seed in (1, 2)]
+        script = ("import json, sys\n"
+                  "from repro.runner.campaign import Campaign\n"
+                  "result = Campaign(configs=json.loads(sys.argv[1]),\n"
+                  "                  cache_dir=sys.argv[2]).run()\n"
+                  "print(result.executed)\n")
+
+        def executed():
+            out = subprocess.run(
+                [sys.executable, "-c", script, json.dumps(configs),
+                 str(tmp_path / "cache")],
+                env={**os.environ, "PYTHONPATH": str(src)},
+                capture_output=True, text=True, check=True)
+            return int(out.stdout)
+
+        assert executed() == len(configs)
+        assert executed() == 0
+        sync = src / "repro" / "core" / "sync.py"
+        data = sync.read_bytes()
+        at = data.index(b'"""') + 3          # first docstring letter
+        sync.write_bytes(data[:at] + bytes([data[at] ^ 0x20]) + data[at + 1:])
+        assert executed() == len(configs)
+        assert executed() == 0
 
 
 class Mknod:

@@ -2,13 +2,13 @@
 
 The runtime seam's correctness contract: the *same* protocol class run
 on :class:`repro.sim.runtime.SimRuntime` (discrete-event simulator) and
-on :class:`repro.rt.runtime.AsyncioRuntime` over a virtual-time loop
-with loopback transport must produce the same sequence of Figure 1
-correction decisions per node — same rounds, same ``m``/``M``
-statistics, same corrections, bit for bit.  Both substrates execute
-callbacks in ``(fire_time, insertion_seq)`` order and both compute
-timer fire times through the same hardware-clock formula, so any
-divergence is a seam bug, not noise.
+on :class:`repro.rt.runtime.AsyncioRuntime` with loopback transport
+must produce the same sequence of Figure 1 correction decisions per
+node — same rounds, same ``m``/``M`` statistics, same corrections, bit
+for bit.  Both runtimes run on one :class:`~repro.sim.engine.Simulator`
+(the rt side through its asyncio-shaped ``time()``/``call_at()``), so
+callbacks share one ``(fire_time, insertion_seq)`` order and only the
+runtime seam can differ: any divergence is a seam bug, not noise.
 
 Property-tested over seeds: each seed derives per-node rates, offsets,
 and start phases, so one passing seed is an anecdote but a sweep is
@@ -28,7 +28,6 @@ from repro.net.network import Network
 from repro.net.topology import full_mesh
 from repro.rt.runtime import AsyncioRuntime
 from repro.rt.transport import LoopbackTransport
-from repro.rt.virtualtime import VirtualTimeLoop
 from repro.sim.engine import Simulator
 from repro.sim.runtime import SimRuntime
 
@@ -81,7 +80,7 @@ def run_on_sim(params: ProtocolParams, cluster, crashed=()) -> dict:
 
 def run_on_rt(params: ProtocolParams, cluster, crashed=(),
               instrument=False) -> dict:
-    loop = VirtualTimeLoop()
+    loop = Simulator(seed=0)
     transport = LoopbackTransport(loop, delay=params.delta / 2.0)
     processes = {}
     bus = None
@@ -106,7 +105,7 @@ def run_on_rt(params: ProtocolParams, cluster, crashed=(),
     for node, process in processes.items():
         if node not in crashed:
             process.start()
-    loop.run_until(DURATION)
+    loop.run(until=DURATION)
     return processes
 
 

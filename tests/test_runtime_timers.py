@@ -11,8 +11,8 @@ queue-honest rules, now promoted to the runtime seam):
   pending.
 
 Verified against all three runtimes through one shared harness:
-``SimRuntime`` (simulator events), ``AsyncioRuntime`` over the
-virtual-time loop, and ``AsyncioRuntime`` over a *real* asyncio event
+``SimRuntime`` (simulator events), ``AsyncioRuntime`` on the
+simulator's asyncio-shaped loop surface, and ``AsyncioRuntime`` over a *real* asyncio event
 loop — the latter matters because asyncio's own ``TimerHandle`` does
 NOT satisfy the contract (its ``cancel()`` after firing still reports
 cancelled), so :class:`~repro.rt.runtime.RtTimerHandle` must mask it.
@@ -31,7 +31,6 @@ from repro.net.network import Network
 from repro.net.topology import full_mesh
 from repro.rt.runtime import AsyncioRuntime
 from repro.rt.transport import LoopbackTransport
-from repro.rt.virtualtime import VirtualTimeLoop
 from repro.sim.engine import Simulator
 from repro.sim.runtime import SimRuntime
 
@@ -55,18 +54,18 @@ class SimHarness:
 
 
 class VirtualHarness:
-    """AsyncioRuntime on the deterministic virtual-time loop."""
+    """AsyncioRuntime on the simulator (deterministic virtual time)."""
 
     name = "virtual"
 
     def __init__(self):
-        self.loop = VirtualTimeLoop()
+        self.loop = Simulator(seed=0)
         transport = LoopbackTransport(self.loop, delay=0.001)
         self.runtime = AsyncioRuntime(0, LogicalClock(FixedRateClock(rho=1e-4)),
                                       transport, self.loop, epoch=0.0)
 
     def advance(self, duration: float) -> None:
-        self.loop.run_until(self.loop.time() + duration)
+        self.loop.run(until=self.loop.time() + duration)
 
     def close(self) -> None:
         pass

@@ -203,6 +203,61 @@ def test_perf_counters_before_any_run(sim):
     assert perf.events_per_second == 0.0
 
 
+
+# -- the asyncio loop surface (time/call_at) the rt path runs on --------
+
+
+def test_call_at_in_the_past_fires_at_now(sim):
+    sim.run(until=1.0)
+    fired = []
+    sim.call_at(0.2, lambda: fired.append(sim.now))
+    with pytest.raises(SimulationError):
+        sim.schedule_at(0.2, lambda: None)
+    sim.run(until=1.5)
+    assert fired == [1.0]  # past-due calls fire "now", never rewind
+    assert sim.now == 1.5
+
+
+def test_call_at_and_schedule_at_ties_run_in_insertion_order(sim):
+    order = []
+    sim.call_at(0.5, lambda: order.append("call_at"))
+    sim.schedule_at(0.5, lambda: order.append("schedule_at"))
+    sim.call_at(0.5, lambda: order.append("call_at again"))
+    sim.run()
+    assert order == ["call_at", "schedule_at", "call_at again"]
+
+
+def test_time_starts_at_zero(sim):
+    assert sim.time() == 0.0 == sim.now
+
+
+def test_time_is_now_inside_a_callback(sim):
+    seen = []
+    sim.call_at(0.75, lambda: seen.append((sim.time(), sim.now)))
+    sim.run(until=1.0)
+    assert seen == [(0.75, 0.75)]
+    assert sim.time() == 1.0
+
+
+def test_cancelled_call_at_does_not_run(sim):
+    fired = []
+    keep = sim.call_at(1.0, lambda: fired.append("keep"))
+    drop = sim.call_at(2.0, lambda: fired.append("drop"))
+    drop.cancel()
+    assert drop.cancelled and not keep.cancelled
+    assert sim.run(until=3.0) == 1
+    assert fired == ["keep"]
+
+
+def test_pending_events_counts_live_call_at(sim):
+    keep = sim.call_at(1.0, lambda: None)
+    drop = sim.call_at(2.0, lambda: None)
+    drop.cancel()
+    assert sim.pending_events == 1
+    assert keep.time == 1.0
+    sim.run(until=3.0)
+    assert sim.pending_events == 0
+
 def test_determinism_same_seed_same_stream():
     a = Simulator(seed=42)
     b = Simulator(seed=42)

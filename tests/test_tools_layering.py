@@ -161,3 +161,24 @@ def test_asyncio_datagram_transport_is_a_finding():
     assert collector.udp_names == [(2, "DatagramProtocol"),
                                    (3, "DatagramProtocol"),
                                    (6, "create_datagram_endpoint")]
+
+
+def test_heap_in_rt_layer_is_a_finding():
+    """The simulator is the one deterministic scheduler: the imports of
+    the virtual-time loop module ``repro.rt`` used to carry (a second
+    ``(time, seq)`` heap) are flagged, and stay legal in the kernel."""
+    tool = _load_tool()
+    source = (
+        "from __future__ import annotations\n"
+        "import heapq\n"
+        "from typing import Callable\n"
+        "from heapq import heappush\n"
+    )
+    collector = tool.ImportCollector("repro.rt.timeloop")
+    collector.visit(ast.parse(source))
+    findings = [(lineno, tool.violation("repro.rt.timeloop", target))
+                for lineno, target in collector.imports]
+    assert [lineno for lineno, finding in findings if finding] == [2, 4]
+    assert all("only deterministic scheduler" in finding
+               for _, finding in findings if finding)
+    assert tool.violation("repro.sim.events", "heapq") is None

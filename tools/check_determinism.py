@@ -251,7 +251,7 @@ def check_vector() -> bool:
 
 
 def live_run(telemetry: bool, duration: float = 4.0, seed: int = 3):
-    """One virtual-time loopback cluster run; returns its observables.
+    """One loopback cluster run on the simulator; returns its observables.
 
     Returns ``(decisions, finals, jsonl)`` where decisions maps node to
     its Figure 1 record tuples, finals maps node to the logical-clock
@@ -259,14 +259,14 @@ def live_run(telemetry: bool, duration: float = 4.0, seed: int = 3):
     stream (``b""`` when uninstrumented).
     """
     from repro.rt.live import build_cluster, default_live_params
-    from repro.rt.virtualtime import VirtualTimeLoop
+    from repro.sim.engine import Simulator
 
     params = default_live_params(n=4, f=1)
-    loop = VirtualTimeLoop()
+    loop = Simulator(seed=0)
     cluster = build_cluster(params, loop, seed=seed, transport="loopback",
                             telemetry=telemetry)
     cluster.start(sample_interval=0.1)
-    loop.run_until(duration)
+    loop.run(until=duration)
     cluster.sample_once()
     decisions = {node: [(r.round_no, r.correction, r.m, r.big_m,
                          r.own_discarded, r.replies)

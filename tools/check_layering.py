@@ -22,6 +22,9 @@ nothing a campaign reads back can execute code.
 And UDP has one mechanism, :class:`~repro.rt.transport.UdpEndpoint`
 (a non-blocking socket drained per wakeup): no module may name asyncio's
 ``create_datagram_endpoint`` or ``DatagramProtocol``.
+And deterministic time has one scheduler, the simulator's event queue
+(:class:`~repro.sim.engine.Simulator` is also the rt path's virtual
+loop): no ``repro.rt`` module may import ``heapq``.
 
 The check parses every module under ``src/repro`` with :mod:`ast` and
 records its ``repro.*`` imports.  ``if TYPE_CHECKING:`` blocks are
@@ -92,6 +95,10 @@ SERIALIZERS = frozenset({"pickle", "shelve", "marshal"})
 # one-datagram-per-loop-turn transport must not come back beside it.
 UDP_FORBIDDEN_NAMES = frozenset({"create_datagram_endpoint",
                                  "DatagramProtocol"})
+
+# The simulator is the one deterministic scheduler: a heap in the rt
+# layer would be a second (time, seq) loop beside it.
+RT_FORBIDDEN_MODULES = frozenset({"heapq"})
 
 # The CLI is the top of the whole package: nothing imports it back
 # (``repro.__main__`` is the entry point and the one exception).
@@ -180,6 +187,9 @@ def violation(module: str, target: str) -> str | None:
     if target.split(".")[0] in SERIALIZERS:
         return (f"{module} imports {target} (the ResultStore is the only "
                 f"persistence)")
+    if layer_of(module) == "rt" and target.split(".")[0] in RT_FORBIDDEN_MODULES:
+        return (f"{module} imports {target} (the simulator is the only "
+                f"deterministic scheduler)")
     if (target == CLI_MODULE or target.startswith(CLI_MODULE + ".")) \
             and module not in CLI_IMPORTERS_ALLOWED:
         return f"{module} imports {CLI_MODULE} (the CLI is the top of the stack)"
@@ -225,7 +235,7 @@ def main() -> int:
     print(f"layering clean: {kernel} kernel modules (no runtime imports "
           f"of obs/runner), {ranked} ranked runner modules (results flow "
           f"upward), nothing imports the CLI or {'/'.join(sorted(SERIALIZERS))}"
-          f", no asyncio datagram transport")
+          f", no asyncio datagram transport, no heap in repro.rt")
     return 0
 
 
