@@ -3,9 +3,12 @@
 A single seeded run is a point estimate; the benchmark tables report
 several seeds where it matters, and this module provides the standard
 machinery — sample mean, standard deviation, and a Student-t confidence
-interval (via scipy) — for summarizing a measure across replications.
-Used by the statistics bench and available to downstream experiment
-pipelines.
+interval — for summarizing a measure across replications.  The t
+critical value is computed here, with the standard library only:
+Newton's method on the Student-t distribution function, written as a
+regularized incomplete beta function and summed by its hypergeometric
+series (see :func:`_t_critical`).  Used by the statistics bench and
+available to downstream experiment pipelines.
 
 The store-backed entry points (:func:`summarize_column`,
 :func:`summarize_grouped`) run the *same* reduction over columns of a
@@ -54,7 +57,67 @@ class ReplicationSummary:
 
     def __str__(self) -> str:
         return (f"{self.mean:.6g} ± {self.half_width:.3g} "
-                f"({int(self.confidence * 100)}% CI, n={self.n})")
+                f"({self.confidence * 100:g}% CI, n={self.n})")
+
+
+def _series(p: float, q: float, z: float) -> float:
+    """Gauss's hypergeometric 2F1(p, 1; q; z): a sum of positive terms."""
+    total = term = 1.0
+    n = 0
+    while term > 1e-17 * total:
+        term *= (p + n) / (q + n) * z
+        total += term
+        n += 1
+    return total
+
+
+def _stirling(z: float) -> float:
+    """Stirling's series: log Gamma(z) - ((z - 1/2) log z - z + log(2 pi)/2)."""
+    w = 1.0 / (z * z)
+    return (1 / 12 - (1 / 360 - (1 / 1260 - w / 1680) * w) * w) / z
+
+
+def _t_critical(confidence: float, df: int) -> float:
+    """The ``t`` with ``P(|T| <= t) = confidence`` for Student's T on ``df``.
+
+    With ``x = df / (df + t^2)`` the tail ``P(|T| > t)`` is the
+    regularized incomplete beta function ``I_x(df/2, 1/2)``, which is
+    ``1 - I_(1-x)(1/2, df/2)``; whichever argument is at most 1/2 is
+    summed as a series of positive terms (tail or central mass), so no
+    digit is lost to cancellation.  The tail is decreasing and convex in
+    ``t``, so Newton's method started at the normal quantile (always
+    below the root) climbs to it monotonically; a step that would go
+    down is rounding noise and ends the climb.  For ``confidence <=
+    0.999`` and ``df`` from 1 to 10^6 the result is within 1e-13
+    (relative) of the exact quantile, and within a few ulp of the
+    closed forms at ``df = 1`` and ``df = 2``.
+    """
+    # Imported here: statistics pulls in decimal and fractions, which
+    # nothing else on the import path of repro.runner needs.
+    from statistics import NormalDist
+
+    a = df / 2.0
+    if df < 40:  # B(a + 1, 1/2) = B(a, 1/2) * a / (a + 1/2), from B(1/2 or 1, 1/2)
+        beta = math.pi if df % 2 else 2.0
+        for k in range(2 - df % 2, df, 2):
+            beta *= k / (k + 1.0)
+    else:  # Stirling's series, cut after z^-7, is good to 1e-16 from z = 20
+        beta = math.sqrt(math.pi / a) * math.exp(
+            0.5 - a * math.log1p(0.5 / a) + _stirling(a) - _stirling(a + 0.5))
+    t = abs(NormalDist().inv_cdf((1.0 - confidence) / 2.0))
+    step = t
+    while step > 1e-9 * t:
+        u = t * t / df
+        x, y = 1.0 / (1.0 + u), u / (1.0 + u)
+        if x <= 0.5:  # x^a y^(1/2) / B(a, 1/2), then the tail I_x(a, 1/2)
+            front = x ** a * math.sqrt(y) / beta
+            miss = front / a * _series(a + 0.5, a + 1.0, x) - (1.0 - confidence)
+        else:  # the same front, then the central mass I_y(1/2, a)
+            front = math.exp(-a * math.log1p(u)) * math.sqrt(y) / beta
+            miss = confidence - 2.0 * front * _series(a + 0.5, 1.5, y)
+        step = miss * t / (2.0 * front)  # d(tail)/dt = -2 front / t
+        t += max(step, 0.0)
+    return t
 
 
 def summarize_replications(values: Sequence[float],
@@ -81,10 +144,7 @@ def summarize_replications(values: Sequence[float],
                                   values=tuple(values))
     variance = sum((v - mean) ** 2 for v in values) / (n - 1)
     std = math.sqrt(variance)
-    from scipy import stats as scipy_stats
-
-    t_crit = scipy_stats.t.ppf(0.5 + confidence / 2.0, df=n - 1)
-    half = t_crit * std / math.sqrt(n)
+    half = _t_critical(confidence, n - 1) * std / math.sqrt(n)
     return ReplicationSummary(n=n, mean=mean, std=std, ci_low=mean - half,
                               ci_high=mean + half, confidence=confidence,
                               values=tuple(values))

@@ -83,6 +83,24 @@ def test_serializer_import_is_a_finding():
     assert tool.violation("repro.runner.campaign", "json") is None
 
 
+def test_scipy_import_is_a_finding():
+    """scipy is no dependency: the import the replication CIs used to
+    make is flagged in any module, however it is spelled."""
+    tool = _load_tool()
+    source = (
+        "from scipy import stats as scipy_stats\n"
+        "import scipy.special\n"
+        "from statistics import NormalDist\n"
+    )
+    collector = tool.ImportCollector("repro.runner.stats")
+    collector.visit(ast.parse(source))
+    findings = [(lineno, tool.violation("repro.runner.stats", target))
+                for lineno, target in collector.imports]
+    assert [lineno for lineno, finding in findings if finding] == [1, 2]
+    assert all("not a dependency" in finding
+               for _, finding in findings if finding)
+
+
 def test_kernel_layers_have_no_upward_imports():
     tool = _load_tool()
     assert tool.check() == []

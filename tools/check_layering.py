@@ -19,6 +19,9 @@ stack, never the other way around (``repro.__main__`` excepted).
 Nor may any module import ``pickle``, ``shelve`` or ``marshal``: the
 :class:`~repro.runner.store.ResultStore` is the only persistence, so
 nothing a campaign reads back can execute code.
+Nor may any module import ``scipy``: it is no declared dependency, and
+the one thing the package used it for, the Student-t critical value of
+:mod:`repro.runner.stats`, is computed there with the standard library.
 And UDP has one mechanism, :class:`~repro.rt.transport.UdpEndpoint`
 (a non-blocking socket drained per wakeup): no module may name asyncio's
 ``create_datagram_endpoint`` or ``DatagramProtocol``.
@@ -90,6 +93,10 @@ RUNNER_RANKS: dict[str, int] = {
 # Records persist only through the columnar ResultStore: no module
 # serializes objects that a later load would have to execute or trust.
 SERIALIZERS = frozenset({"pickle", "shelve", "marshal"})
+
+# Not a dependency of the package (pyproject declares none): the
+# replication CIs compute their Student-t quantile in-house.
+UNDECLARED = frozenset({"scipy"})
 
 # Every UDP socket is a repro.rt.transport.UdpEndpoint: asyncio's
 # one-datagram-per-loop-turn transport must not come back beside it.
@@ -187,6 +194,8 @@ def violation(module: str, target: str) -> str | None:
     if target.split(".")[0] in SERIALIZERS:
         return (f"{module} imports {target} (the ResultStore is the only "
                 f"persistence)")
+    if target.split(".")[0] in UNDECLARED:
+        return f"{module} imports {target} (not a dependency of the package)"
     if layer_of(module) == "rt" and target.split(".")[0] in RT_FORBIDDEN_MODULES:
         return (f"{module} imports {target} (the simulator is the only "
                 f"deterministic scheduler)")
@@ -235,7 +244,7 @@ def main() -> int:
     print(f"layering clean: {kernel} kernel modules (no runtime imports "
           f"of obs/runner), {ranked} ranked runner modules (results flow "
           f"upward), nothing imports the CLI or {'/'.join(sorted(SERIALIZERS))}"
-          f", no asyncio datagram transport, no heap in repro.rt")
+          f", no scipy, no asyncio datagram transport, no heap in repro.rt")
     return 0
 
 
