@@ -21,9 +21,11 @@ def campaign_records(scenarios: list[Scenario], *,
                      warmup_intervals: float = 3.0) -> list[RunRecord]:
     """Run a list of scenarios through the Campaign executor.
 
-    Benches deliberately do NOT pass a ``cache_dir``: cache keys include
-    the package version, which does not change between commits, so a
-    persistent cache would happily serve results from stale code.
+    Benches deliberately do NOT pass a ``cache_dir``: every invocation
+    executes every run, so a regenerated table comes from this run and
+    not from the last one.  A cache would not serve stale code (its key
+    carries a digest of the package sources), but it would turn a re-run
+    into a read of earlier results.
     """
     result = Campaign.from_scenarios(
         scenarios, warmup_intervals=warmup_intervals).run(workers=workers)

@@ -27,46 +27,7 @@ Layout:
 * :mod:`repro.runner` — scenarios, runs, sweeps.
 """
 
-from repro._version import __version__
-from repro.core import (
-    PaperConvergence,
-    ProtocolParams,
-    SyncProcess,
-    Theorem5Bounds,
-    theorem5_verdict,
-)
-from repro.errors import (
-    AdversaryError,
-    CampaignError,
-    ClockError,
-    ConfigurationError,
-    EvaluationError,
-    MeasurementError,
-    ParameterError,
-    ReproError,
-    SimulationError,
-    StoreError,
-    TopologyError,
-)
-from repro.runner import (
-    Campaign,
-    CampaignResult,
-    EvaluationSpec,
-    ResultStore,
-    RunRecord,
-    RunResult,
-    Scenario,
-    benign_scenario,
-    default_params,
-    evaluate,
-    mobile_byzantine_scenario,
-    recovery_scenario,
-    replicate,
-    run,
-    split_world_scenario,
-    sweep,
-    two_clique_scenario,
-)
+from repro import _lazy
 
 __all__ = [
     "__version__",
@@ -108,3 +69,25 @@ __all__ = [
     "EvaluationError",
     "CampaignError",
 ]
+
+__getattr__, __dir__ = _lazy.exports(__name__, {
+    "repro._version": (
+        "__version__",
+    ),
+    "repro.core": (
+        "PaperConvergence", "ProtocolParams", "SyncProcess", "Theorem5Bounds",
+        "theorem5_verdict",
+    ),
+    "repro.errors": (
+        "AdversaryError", "CampaignError", "ClockError", "ConfigurationError",
+        "EvaluationError", "MeasurementError", "ParameterError", "ReproError",
+        "SimulationError", "StoreError", "TopologyError",
+    ),
+    "repro.runner": (
+        "Campaign", "CampaignResult", "EvaluationSpec", "ResultStore",
+        "RunRecord", "RunResult", "Scenario", "benign_scenario",
+        "default_params", "evaluate", "mobile_byzantine_scenario",
+        "recovery_scenario", "replicate", "run", "split_world_scenario",
+        "sweep", "two_clique_scenario",
+    ),
+})

@@ -65,23 +65,12 @@ import sys
 
 from repro.core.params import ProtocolParams
 from repro.metrics.report import check_mark, table
-from repro.protocols import registered_protocols
-from repro.runner.builders import (
-    benign_scenario,
-    default_params,
-    mobile_byzantine_scenario,
-    recovery_scenario,
-    split_world_scenario,
-    warmup_for,
-)
-from repro.runner.experiment import run as run_scenario
 
-SCENARIOS = {
-    "benign": benign_scenario,
-    "mobile-byzantine": mobile_byzantine_scenario,
-    "recovery": recovery_scenario,
-    "split-world": split_world_scenario,
-}
+#: Scenario names of ``run --scenario``.  The builders live in
+#: :data:`repro.runner.config.SCENARIOS` and are imported by the verbs
+#: that run something, so the parser and the serving verbs load no
+#: simulator.
+SCENARIOS = ("benign", "mobile-byzantine", "recovery", "split-world")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -296,16 +285,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 def cmd_run(args: argparse.Namespace) -> int:
     """Run one scenario and print the Theorem 5 verdict."""
+    from repro.runner.builders import default_params, warmup_for
+    from repro.runner.config import SCENARIOS as BUILDERS, load_scenario
+    from repro.runner.experiment import run as run_scenario
+
     if args.config is not None:
-        from repro.runner.config import load_scenario
         scenario = load_scenario(args.config)
         params = scenario.params
     else:
         params = default_params(n=args.n, f=args.f, delta=args.delta,
                                 rho=args.rho, pi=args.pi)
-        scenario = SCENARIOS[args.scenario](params, duration=args.duration,
-                                            seed=args.seed,
-                                            protocol=args.protocol)
+        scenario = BUILDERS[args.scenario](params, duration=args.duration,
+                                           seed=args.seed,
+                                           protocol=args.protocol)
     recorder = None
     if args.trace_out is not None:
         from repro.obs import FlightRecorder
@@ -537,6 +529,8 @@ def cmd_soak(args: argparse.Namespace) -> int:
     import dataclasses
 
     from repro.adversary.plans import PlanSpec, StrategySpec
+    from repro.runner.builders import benign_scenario, default_params, warmup_for
+    from repro.runner.experiment import run as run_scenario
 
     params = default_params(n=args.n, f=args.f, pi=2.0)
     bound = params.bounds().max_deviation
@@ -908,6 +902,8 @@ def cmd_stats(args: argparse.Namespace) -> int:
 
 def cmd_list(args: argparse.Namespace) -> int:
     """Print the available scenarios and registered protocols."""
+    from repro.protocols import registered_protocols
+
     print("scenarios: " + ", ".join(sorted(SCENARIOS)))
     print("protocols: " + ", ".join(registered_protocols()))
     return 0

@@ -10,37 +10,7 @@
   Theorem 5) run against simulation output.
 """
 
-from repro.core.analysis import (
-    EnvelopeStep,
-    PropertyCheck,
-    RecoveryStep,
-    Theorem5Verdict,
-    envelope_trajectory,
-    halving_holds,
-    recovery_trajectory,
-    section43_properties,
-    theorem5_verdict,
-    verify_bias_formulation,
-)
-from repro.core.convergence import (
-    ClampedConvergence,
-    ConvergenceFunction,
-    CorrectionDecision,
-    MeanConvergence,
-    MidpointConvergence,
-    PaperConvergence,
-    TrimmedMeanConvergence,
-    paper_order_statistics,
-)
-from repro.core.envelope import Envelope, average, envelope_of_biases, lemma7_shrunk_width
-from repro.core.estimation import (
-    ClockEstimate,
-    EstimationSession,
-    self_estimate,
-    timeout_estimate,
-)
-from repro.core.params import ProtocolParams, Theorem5Bounds
-from repro.core.sync import SyncProcess, SyncRecord
+from repro import _lazy
 
 __all__ = [
     "ProtocolParams",
@@ -74,3 +44,29 @@ __all__ = [
     "section43_properties",
     "PropertyCheck",
 ]
+
+__getattr__, __dir__ = _lazy.exports(__name__, {
+    "repro.core.analysis": (
+        "EnvelopeStep", "PropertyCheck", "RecoveryStep", "Theorem5Verdict",
+        "envelope_trajectory", "halving_holds", "recovery_trajectory",
+        "section43_properties", "theorem5_verdict", "verify_bias_formulation",
+    ),
+    "repro.core.convergence": (
+        "ClampedConvergence", "ConvergenceFunction", "CorrectionDecision",
+        "MeanConvergence", "MidpointConvergence", "PaperConvergence",
+        "TrimmedMeanConvergence", "paper_order_statistics",
+    ),
+    "repro.core.envelope": (
+        "Envelope", "average", "envelope_of_biases", "lemma7_shrunk_width",
+    ),
+    "repro.core.estimation": (
+        "ClockEstimate", "EstimationSession", "self_estimate",
+        "timeout_estimate",
+    ),
+    "repro.core.params": (
+        "ProtocolParams", "Theorem5Bounds",
+    ),
+    "repro.core.sync": (
+        "SyncProcess", "SyncRecord",
+    ),
+})

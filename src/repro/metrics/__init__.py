@@ -6,33 +6,7 @@ high-water mark, and cancelled-event ratio are measurements too, and the
 benchmark harness consumes them from here.
 """
 
-from repro.sim.engine import EnginePerfCounters
-from repro.metrics.columns import HAVE_NUMPY, backend_name, numpy_active, set_numpy
-from repro.metrics.measures import (
-    AccuracyReport,
-    DeviationSeries,
-    RecoveryEvent,
-    RecoveryReport,
-    accuracy_report,
-    deviation_series,
-    good_stretches,
-    recovery_report,
-    stretch_accuracy,
-)
-from repro.metrics.export import result_to_dict, write_result
-from repro.metrics.plots import bias_plane, sparkline, strip_chart
-from repro.metrics.report import check_mark, format_value, ratio, table
-from repro.metrics.sampler import (
-    ClockSampler,
-    ClockSamples,
-    CorruptionInterval,
-    GoodSetIndex,
-    WindowIndex,
-    faulty_at,
-    good_set,
-)
-from repro.metrics.streaming import OnlineMeasures
-from repro.metrics.trace import CorruptionRecord, MessageRecord, TraceRecorder
+from repro import _lazy
 
 __all__ = [
     "EnginePerfCounters",
@@ -70,3 +44,36 @@ __all__ = [
     "ratio",
     "check_mark",
 ]
+
+__getattr__, __dir__ = _lazy.exports(__name__, {
+    "repro.sim.engine": (
+        "EnginePerfCounters",
+    ),
+    "repro.metrics.columns": (
+        "HAVE_NUMPY", "backend_name", "numpy_active", "set_numpy",
+    ),
+    "repro.metrics.measures": (
+        "AccuracyReport", "DeviationSeries", "RecoveryEvent", "RecoveryReport",
+        "accuracy_report", "deviation_series", "good_stretches",
+        "recovery_report", "stretch_accuracy",
+    ),
+    "repro.metrics.export": (
+        "result_to_dict", "write_result",
+    ),
+    "repro.metrics.plots": (
+        "bias_plane", "sparkline", "strip_chart",
+    ),
+    "repro.metrics.report": (
+        "check_mark", "format_value", "ratio", "table",
+    ),
+    "repro.metrics.sampler": (
+        "ClockSampler", "ClockSamples", "CorruptionInterval", "GoodSetIndex",
+        "WindowIndex", "faulty_at", "good_set",
+    ),
+    "repro.metrics.streaming": (
+        "OnlineMeasures",
+    ),
+    "repro.metrics.trace": (
+        "CorruptionRecord", "MessageRecord", "TraceRecorder",
+    ),
+})

@@ -13,33 +13,7 @@ serialized event stream is byte-identical across identical-seed runs.
 See ``DESIGN.md`` ("Observability") for the contract.
 """
 
-from repro.obs.bus import (
-    EventBus,
-    ObsEvent,
-    event_from_json,
-    event_to_json,
-    events_to_jsonl,
-    read_events_jsonl,
-)
-from repro.obs.expo import (
-    MetricsHttpServer,
-    metric_families,
-    render_prometheus,
-    snapshot_percentile,
-)
-from repro.obs.live import ClusterIntrospection, LiveTelemetry, merged_latency
-from repro.obs.metricsreg import (
-    LATENCY_BUCKETS,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsCollector,
-    MetricsRegistry,
-)
-from repro.obs.probes import ProbeViolation, Theorem5Probe, violations_from_events
-from repro.obs.recorder import FlightRecorder, ObsConfig
-from repro.obs.spans import Span, SpanTracer, chrome_trace, write_chrome_trace
-from repro.obs.summary import TraceSummary, render_summary, summarize_events
+from repro import _lazy
 
 __all__ = [
     "EventBus",
@@ -74,3 +48,33 @@ __all__ = [
     "summarize_events",
     "render_summary",
 ]
+
+__getattr__, __dir__ = _lazy.exports(__name__, {
+    "repro.obs.bus": (
+        "EventBus", "ObsEvent", "event_from_json", "event_to_json",
+        "events_to_jsonl", "read_events_jsonl",
+    ),
+    "repro.obs.expo": (
+        "MetricsHttpServer", "metric_families", "render_prometheus",
+        "snapshot_percentile",
+    ),
+    "repro.obs.live": (
+        "ClusterIntrospection", "LiveTelemetry", "merged_latency",
+    ),
+    "repro.obs.metricsreg": (
+        "LATENCY_BUCKETS", "Counter", "Gauge", "Histogram", "MetricsCollector",
+        "MetricsRegistry",
+    ),
+    "repro.obs.probes": (
+        "ProbeViolation", "Theorem5Probe", "violations_from_events",
+    ),
+    "repro.obs.recorder": (
+        "FlightRecorder", "ObsConfig",
+    ),
+    "repro.obs.spans": (
+        "Span", "SpanTracer", "chrome_trace", "write_chrome_trace",
+    ),
+    "repro.obs.summary": (
+        "TraceSummary", "render_summary", "summarize_events",
+    ),
+})

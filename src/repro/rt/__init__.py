@@ -20,34 +20,7 @@ so tests drive the rt path in virtual time.  The loop stays duck-typed;
 nothing here imports :mod:`repro.sim`.
 """
 
-from repro.rt.codec import (
-    GENERIC_TAG,
-    MAGIC,
-    WIRE_VERSION,
-    CodecVersionError,
-    PayloadSpec,
-    TransportError,
-    decode_datagram,
-    decode_payload,
-    encode_datagram,
-    encode_datagram_binary,
-    encode_datagram_json,
-    encode_payload,
-    pack_payload,
-    register_payload,
-    registered_payloads,
-    unpack_payload,
-)
-from repro.rt.live import (
-    LiveCluster,
-    LiveReport,
-    build_cluster,
-    default_live_params,
-    make_live_clocks,
-    run_live,
-)
-from repro.rt.runtime import AsyncioRuntime, RtTimerHandle
-from repro.rt.transport import LoopbackTransport, Transport, UdpTransport
+from repro import _lazy
 
 __all__ = [
     "GENERIC_TAG",
@@ -78,3 +51,23 @@ __all__ = [
     "encode_payload",
     "register_payload",
 ]
+
+__getattr__, __dir__ = _lazy.exports(__name__, {
+    "repro.rt.codec": (
+        "GENERIC_TAG", "MAGIC", "WIRE_VERSION", "CodecVersionError",
+        "PayloadSpec", "TransportError", "decode_datagram", "decode_payload",
+        "encode_datagram", "encode_datagram_binary", "encode_datagram_json",
+        "encode_payload", "pack_payload", "register_payload",
+        "registered_payloads", "unpack_payload",
+    ),
+    "repro.rt.live": (
+        "LiveCluster", "LiveReport", "build_cluster", "default_live_params",
+        "make_live_clocks", "run_live",
+    ),
+    "repro.rt.runtime": (
+        "AsyncioRuntime", "RtTimerHandle",
+    ),
+    "repro.rt.transport": (
+        "LoopbackTransport", "Transport", "UdpTransport",
+    ),
+})

@@ -358,3 +358,10 @@ def _unpack_pong(body: bytes) -> Pong:
 register_payload("ping", Ping, tag=1, pack=_pack_ping, unpack=_unpack_ping)
 register_payload("pong", Pong, tag=2, pack=_pack_pong, unpack=_unpack_pong)
 register_payload("app", AppPayload)
+
+# The client query payloads (tq/tr/ar) are registered by
+# repro.service.query, which the transport imports at its end.
+# Importing the transport here keeps the registry complete for whoever
+# imports the codec, so a stray query datagram reaching a cluster
+# transport is counted misrouted, never malformed.
+import repro.rt.transport  # noqa: E402,F401  (registers tq/tr/ar)

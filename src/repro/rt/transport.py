@@ -328,3 +328,9 @@ class UdpTransport(UdpOwner, Transport):
                                       payload=payload, sent_at=sent_at,
                                       delivered_at=self._now(),
                                       msg_id=self._msg_id))
+
+
+# repro.service.query registers the query payloads; it subclasses
+# UdpOwner, so it is imported once this module is complete (see the end
+# of repro.rt.codec).
+import repro.service.query  # noqa: E402,F401  (registers tq/tr/ar)

@@ -1,63 +1,6 @@
 """Experiment orchestration: scenarios, runs, campaigns, builders."""
 
-from repro.runner.builders import (
-    benign_scenario,
-    default_params,
-    geometric_grid,
-    mobile_byzantine_scenario,
-    recovery_scenario,
-    split_world_scenario,
-    standard_strategy_mix,
-    two_clique_scenario,
-    warmup_for,
-)
-from repro.runner.campaign import (
-    BisectResult,
-    Campaign,
-    CampaignResult,
-    RunPerf,
-    RunRecord,
-    execute_run,
-    replicate,
-    run_config,
-    run_configs,
-    sweep,
-)
-from repro.runner.config import load_scenario, scenario_from_config
-from repro.runner.evaluation import (
-    Check,
-    EvaluationReport,
-    EvaluationSpec,
-    evaluate,
-    evaluate_all,
-    get_spec,
-    register_spec,
-    registered_specs,
-)
-from repro.runner.stats import (
-    ReplicationSummary,
-    replicate_measure,
-    summarize_column,
-    summarize_grouped,
-    summarize_replications,
-)
-from repro.runner.store import (
-    Query,
-    ResultStore,
-    append_to_dir,
-)
-from repro.runner.experiment import (
-    RunResult,
-    run,
-    summarize,
-)
-from repro.runner.scenario import (
-    Scenario,
-    extremal_clocks,
-    perfect_clocks,
-    wander_clocks,
-)
-from repro.runner.vector import run_vector, scalar_only_reason, vector_spec
+from repro import _lazy
 
 __all__ = [
     "Scenario",
@@ -108,3 +51,39 @@ __all__ = [
     "summarize_grouped",
     "BisectResult",
 ]
+
+__getattr__, __dir__ = _lazy.exports(__name__, {
+    "repro.runner.builders": (
+        "benign_scenario", "default_params", "geometric_grid",
+        "mobile_byzantine_scenario", "recovery_scenario",
+        "split_world_scenario", "standard_strategy_mix", "two_clique_scenario",
+        "warmup_for",
+    ),
+    "repro.runner.campaign": (
+        "BisectResult", "Campaign", "CampaignResult", "RunPerf", "RunRecord",
+        "execute_run", "replicate", "run_config", "run_configs", "sweep",
+    ),
+    "repro.runner.config": (
+        "load_scenario", "scenario_from_config",
+    ),
+    "repro.runner.evaluation": (
+        "Check", "EvaluationReport", "EvaluationSpec", "evaluate",
+        "evaluate_all", "get_spec", "register_spec", "registered_specs",
+    ),
+    "repro.runner.stats": (
+        "ReplicationSummary", "replicate_measure", "summarize_column",
+        "summarize_grouped", "summarize_replications",
+    ),
+    "repro.runner.store": (
+        "Query", "ResultStore", "append_to_dir",
+    ),
+    "repro.runner.experiment": (
+        "RunResult", "run", "summarize",
+    ),
+    "repro.runner.scenario": (
+        "Scenario", "extremal_clocks", "perfect_clocks", "wander_clocks",
+    ),
+    "repro.runner.vector": (
+        "run_vector", "scalar_only_reason", "vector_spec",
+    ),
+})

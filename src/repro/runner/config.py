@@ -49,7 +49,8 @@ from repro.runner.builders import (
 )
 from repro.runner.scenario import Scenario
 
-_SCENARIOS = {
+#: Builder-shorthand scenario names (``"scenario"`` key) -> builders.
+SCENARIOS = {
     "benign": benign_scenario,
     "mobile-byzantine": mobile_byzantine_scenario,
     "recovery": recovery_scenario,
@@ -104,16 +105,16 @@ def scenario_from_config(config: dict[str, Any]) -> Scenario:
     params = params_from_config(config["params"])
 
     scenario_name = config.get("scenario", "benign")
-    if scenario_name not in _SCENARIOS:
+    if scenario_name not in SCENARIOS:
         raise ConfigurationError(
-            f"unknown scenario {scenario_name!r}; known: {sorted(_SCENARIOS)}")
+            f"unknown scenario {scenario_name!r}; known: {sorted(SCENARIOS)}")
 
     clocks_name = config.get("clocks", "wander")
     if clocks_name not in CLOCK_MODELS:
         raise ConfigurationError(
             f"unknown clock model {clocks_name!r}; known: {sorted(CLOCK_MODELS)}")
 
-    builder = _SCENARIOS[scenario_name]
+    builder = SCENARIOS[scenario_name]
     scenario = builder(
         params,
         duration=float(config.get("duration", 20.0)),

@@ -5,22 +5,7 @@ freshness validation, expirations) expressed as an API whose tolerances
 derive from the Theorem 5 bounds.
 """
 
-from repro.service.monitor import Alert, MonitorThresholds, SyncHealthMonitor
-from repro.service.query import (
-    QueryError,
-    TimeQuery,
-    TimeQueryClient,
-    TimeQueryServer,
-    TimeReply,
-    answer_query,
-)
-from repro.service.refresh import (
-    KeyAnnouncement,
-    RefreshingSyncProcess,
-    RotationRecord,
-    make_refreshing,
-)
-from repro.service.timeservice import SecureTimeService, Timestamp
+from repro import _lazy
 
 __all__ = [
     "SecureTimeService",
@@ -39,3 +24,20 @@ __all__ = [
     "KeyAnnouncement",
     "RotationRecord",
 ]
+
+__getattr__, __dir__ = _lazy.exports(__name__, {
+    "repro.service.monitor": (
+        "Alert", "MonitorThresholds", "SyncHealthMonitor",
+    ),
+    "repro.service.query": (
+        "QueryError", "TimeQuery", "TimeQueryClient", "TimeQueryServer",
+        "TimeReply", "answer_query",
+    ),
+    "repro.service.refresh": (
+        "KeyAnnouncement", "RefreshingSyncProcess", "RotationRecord",
+        "make_refreshing",
+    ),
+    "repro.service.timeservice": (
+        "SecureTimeService", "Timestamp",
+    ),
+})

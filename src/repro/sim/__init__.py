@@ -8,17 +8,7 @@ adapter (:mod:`repro.sim.runtime`) that plugs the engine into the
 :mod:`repro.runtime` seam.
 """
 
-from repro.sim.engine import EnginePerfCounters, Simulator
-from repro.sim.events import Event, EventQueue
-from repro.sim.rng import RngRegistry, derive_seed
-from repro.sim.runtime import LocalTimer, SimRuntime
-from repro.sim.vector import (
-    VectorRunOutput,
-    VectorSpec,
-    VectorUnsupported,
-    simulate_run,
-)
-from repro.runtime.process import Process
+from repro import _lazy
 
 __all__ = [
     "Simulator",
@@ -35,3 +25,24 @@ __all__ = [
     "VectorUnsupported",
     "simulate_run",
 ]
+
+__getattr__, __dir__ = _lazy.exports(__name__, {
+    "repro.sim.engine": (
+        "EnginePerfCounters", "Simulator",
+    ),
+    "repro.sim.events": (
+        "Event", "EventQueue",
+    ),
+    "repro.sim.rng": (
+        "RngRegistry", "derive_seed",
+    ),
+    "repro.sim.runtime": (
+        "LocalTimer", "SimRuntime",
+    ),
+    "repro.sim.vector": (
+        "VectorRunOutput", "VectorSpec", "VectorUnsupported", "simulate_run",
+    ),
+    "repro.runtime.process": (
+        "Process",
+    ),
+})

@@ -15,6 +15,15 @@ def test_list_command(capsys):
     assert "minimal-correction" in out
 
 
+def test_run_scenario_names_are_the_config_builders():
+    """The parser's names (kept free of the simulator imports) are the
+    builder-shorthand map the ``run`` verb looks them up in."""
+    from repro.cli import SCENARIOS
+    from repro.runner.config import SCENARIOS as BUILDERS
+
+    assert sorted(SCENARIOS) == sorted(BUILDERS)
+
+
 def test_bounds_command(capsys):
     assert main(["bounds", "--n", "7", "--f", "2", "--pi", "4.0"]) == 0
     out = capsys.readouterr().out

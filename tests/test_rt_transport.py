@@ -4,7 +4,12 @@ from __future__ import annotations
 
 import asyncio
 import dataclasses
+import os
+import pathlib
 import socket
+import subprocess
+import sys
+import textwrap
 from types import SimpleNamespace
 
 import pytest
@@ -25,6 +30,7 @@ from repro.rt.transport import (
     UdpEndpoint,
     UdpTransport,
 )
+from repro.service.query import TimeQuery
 from repro.sim.engine import Simulator
 
 
@@ -337,3 +343,30 @@ class TestUdpEndpoint:
             return transport.messages_sent, transport.send_dropped
 
         assert asyncio.run(scenario()) == (1, 1)
+
+
+@pytest.mark.parametrize("entry", ["repro.rt.codec", "repro.rt.transport",
+                                   "repro.rt.live"])
+def test_query_payloads_registered_by_any_rt_entry(entry):
+    """Whatever rt module a fresh interpreter imports first, the codec
+    registry holds the query payloads, so a time query addressed to
+    another node reaches a cluster transport as misrouted, not
+    malformed."""
+    datagram = encode_datagram(-1, 5, TimeQuery(op="now", qid=1), 0.0)
+    script = textwrap.dedent(f"""
+        import importlib, sys
+        importlib.import_module({entry!r})
+        keys = sorted(sys.modules["repro.rt.codec"].registered_payloads())
+        from repro.rt.transport import UdpTransport
+        transport = UdpTransport(0, lambda: 0.0)
+        transport.bind(0, object())
+        transport._on_datagram(bytes.fromhex({datagram.hex()!r}))
+        print(keys, transport.misrouted_dropped, transport.malformed_dropped)
+    """)
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    result = subprocess.run([sys.executable, "-c", script],
+                            env={**os.environ, "PYTHONPATH": str(src)},
+                            capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == [
+        "['app',", "'ar',", "'ping',", "'pong',", "'tq',", "'tr']", "1", "0"]

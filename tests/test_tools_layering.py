@@ -12,9 +12,14 @@ from __future__ import annotations
 
 import ast
 import importlib.util
+import json
+import os
 import pathlib
 import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor
+
+import pytest
 
 import repro
 
@@ -200,3 +205,64 @@ def test_heap_in_rt_layer_is_a_finding():
     assert all("only deterministic scheduler" in finding
                for _, finding in findings if finding)
     assert tool.violation("repro.sim.events", "heapq") is None
+
+
+# -- the contract at runtime ------------------------------------------------
+
+#: Layers (and the CLI) whose modules must import without numpy.
+NUMPY_FREE = ("rt", "service", "runtime", "protocols", "clocks")
+
+_PROBE = ("import importlib, json, sys; importlib.import_module(sys.argv[1]);"
+          " print(json.dumps(sorted(sys.modules)))")
+
+
+def _fresh_import(module: str) -> set[str]:
+    """Every module loaded by ``import module`` in a new interpreter."""
+    src = pathlib.Path(repro.__file__).resolve().parents[1]
+    result = subprocess.run([sys.executable, "-c", _PROBE, module],
+                            env={**os.environ, "PYTHONPATH": str(src)},
+                            capture_output=True, text=True, check=True)
+    return set(json.loads(result.stdout))
+
+
+@pytest.fixture(scope="module")
+def import_closures() -> dict[str, set[str]]:
+    """Fresh-interpreter import closure of every constrained module, of
+    every ``repro.service`` module and of ``repro.cli``."""
+    tool = _load_tool()
+    modules = sorted(
+        tool.module_name(path)
+        for path in (tool.SRC / tool.PACKAGE).rglob("*.py")
+        if tool.layer_of(tool.module_name(path)) in {*tool.FORBIDDEN,
+                                                     *NUMPY_FREE})
+    with ThreadPoolExecutor(max_workers=4) as pool:
+        closures = dict(zip(modules, pool.map(_fresh_import, modules)))
+    closures["repro.cli"] = _fresh_import("repro.cli")
+    return closures
+
+
+def test_runtime_imports_respect_forbidden_layers(import_closures):
+    """The static contract holds in a fresh interpreter too: importing
+    a constrained module loads none of its forbidden layers, through
+    package facades or otherwise."""
+    tool = _load_tool()
+    constrained = {module: loaded for module, loaded in import_closures.items()
+                   if tool.layer_of(module) in tool.FORBIDDEN}
+    assert len(constrained) >= 41
+    leaks = {module: sorted(name for name in loaded
+                            if tool.layer_of(name)
+                            in tool.FORBIDDEN[tool.layer_of(module)])
+             for module, loaded in constrained.items()}
+    assert {module: names for module, names in leaks.items() if names} == {}
+
+
+def test_deployment_layers_load_no_numpy(import_closures):
+    """The live path (rt, service, the runtime seam, protocols, clocks)
+    and the CLI's parser start without numpy."""
+    tool = _load_tool()
+    checked = {module for module in import_closures
+               if module == "repro.cli"
+               or tool.layer_of(module) in NUMPY_FREE}
+    assert len(checked) >= 32
+    assert sorted(module for module in checked
+                  if "numpy" in import_closures[module]) == []

@@ -29,6 +29,13 @@ And deterministic time has one scheduler, the simulator's event queue
 (:class:`~repro.sim.engine.Simulator` is also the rt path's virtual
 loop): no ``repro.rt`` module may import ``heapq``.
 
+The package facades (``repro``, ``repro.core``, ...) are lazy (PEP 562,
+see :mod:`repro._lazy`): they import nothing until a name is read, so
+a module's static imports are also all it loads, facades included.
+``tests/test_tools_layering.py`` pins that: it imports every module of
+every ``FORBIDDEN`` layer in a fresh interpreter and checks the import
+closure, which this static check cannot see.
+
 The check parses every module under ``src/repro`` with :mod:`ast` and
 records its ``repro.*`` imports.  ``if TYPE_CHECKING:`` blocks are
 skipped — annotation-only references are erased at runtime and carry no
