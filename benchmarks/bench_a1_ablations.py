@@ -47,7 +47,7 @@ def measure(params, *, seed=12, **scenario_kwargs):
                                 **scenario_kwargs))
     report = rec.recovery(tolerance=default_params(n=params.n, f=params.f,
                                                    pi=params.pi).bounds().max_deviation)
-    discards = len(byz.trace.discarded_own_clock())
+    discards = len([r for r in byz.syncs if r.own_discarded])
     return (byz.max_deviation(warmup_for(params)),
             report.max_recovery_time if report.events else float("nan"),
             discards)

@@ -36,7 +36,6 @@ from typing import TYPE_CHECKING, Callable, Sequence
 from repro.adversary.base import ByzantineStrategy
 from repro.errors import AdversaryError
 from repro.metrics.sampler import CorruptionInterval
-from repro.metrics.trace import TraceRecorder
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.net.network import Network
@@ -125,7 +124,6 @@ class MobileAdversary:
         plan: The corruption schedule.
         f: Fault bound for the Definition 2 audit.
         pi: Time period for the audit.
-        trace: Optional recorder for break-in/release events.
         enforce: When True (default), audit the plan at install time;
             E7 sets False to study over-powerful adversaries.
 
@@ -137,13 +135,12 @@ class MobileAdversary:
 
     def __init__(self, sim: "Simulator", network: "Network",
                  plan: Sequence[PlannedCorruption], f: int, pi: float,
-                 trace: TraceRecorder | None = None, enforce: bool = True) -> None:
+                 enforce: bool = True) -> None:
         self.sim = sim
         self.network = network
         self.plan = list(plan)
         self.f = f
         self.pi = pi
-        self.trace = trace
         self.obs = None
         if enforce:
             audit_f_limited(self.plan, f, pi)
@@ -186,8 +183,6 @@ class MobileAdversary:
             self.obs.publish("adv.break_in", node=node, strategy=strategy.name)
         process.seize(_StrategyShim(strategy, self._rng))
         strategy.on_break_in(process, self._rng)
-        if self.trace is not None:
-            self.trace.on_corruption(node, self.sim.now, "break_in", strategy.name)
 
     def _leave(self, corruption: PlannedCorruption) -> None:
         node = corruption.node
@@ -201,8 +196,6 @@ class MobileAdversary:
             # Published after the release: the parting shot in on_leave
             # still happens while the node counts as controlled.
             self.obs.publish("adv.release", node=node, strategy=strategy.name)
-        if self.trace is not None:
-            self.trace.on_corruption(node, self.sim.now, "release", strategy.name)
 
 
 class _StrategyShim:

@@ -60,7 +60,9 @@ Subcommands:
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
+import pathlib
 import sys
 
 from repro.core.params import ProtocolParams
@@ -87,7 +89,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="JSON scenario config file (overrides the other "
                             "run options)")
     run_p.add_argument("--json", dest="json_out", default=None,
-                       help="write the full result record to this JSON file")
+                       help="write the run's RunRecord (a `sweep --json` "
+                            "record) to this JSON file")
     run_p.add_argument("--trace", dest="trace_out", default=None,
                        help="record the run with a flight recorder and write "
                             "the observability event stream to this JSONL "
@@ -285,32 +288,47 @@ def build_parser() -> argparse.ArgumentParser:
 
 def cmd_run(args: argparse.Namespace) -> int:
     """Run one scenario and print the Theorem 5 verdict."""
-    from repro.runner.builders import default_params, warmup_for
-    from repro.runner.config import SCENARIOS as BUILDERS, load_scenario
+    from repro.errors import ReproError
+    from repro.runner.builders import default_params
+    from repro.runner.campaign import run_record
+    from repro.runner.config import (
+        SCENARIOS as BUILDERS,
+        load_config,
+        scenario_from_config,
+    )
     from repro.runner.experiment import run as run_scenario
 
-    if args.config is not None:
-        scenario = load_scenario(args.config)
-        params = scenario.params
-    else:
-        params = default_params(n=args.n, f=args.f, delta=args.delta,
-                                rho=args.rho, pi=args.pi)
-        scenario = BUILDERS[args.scenario](params, duration=args.duration,
-                                           seed=args.seed,
-                                           protocol=args.protocol)
     recorder = None
     if args.trace_out is not None:
         from repro.obs import FlightRecorder
         recorder = FlightRecorder()
-    result = run_scenario(scenario, recorder=recorder,
-                          stream_measures=args.stream)
-    verdict = result.verdict(warmup=warmup_for(params))
-    recovery = result.recovery()
+    try:
+        if args.config is not None:
+            config = load_config(args.config)
+            scenario = scenario_from_config(config)
+        else:
+            params = default_params(n=args.n, f=args.f, delta=args.delta,
+                                    rho=args.rho, pi=args.pi)
+            scenario = BUILDERS[args.scenario](params, duration=args.duration,
+                                               seed=args.seed,
+                                               protocol=args.protocol)
+            config = scenario.to_config()
+        result = run_scenario(scenario, recorder=recorder,
+                              stream_measures=args.stream)
+        record = run_record(0, config, result, recorder=recorder)
+    except ReproError as exc:
+        # One line, the text a sweep keeps on its error record.
+        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
+        return 2
+    params = scenario.params
+    verdict = record.verdict
+    recovery = record.recovery
     print(f"scenario={scenario.name} protocol={scenario.protocol} "
           f"n={params.n} f={params.f} duration={scenario.duration}s "
           f"seed={scenario.seed}")
-    print(f"events={result.events_processed} messages={result.messages_delivered} "
-          f"corruptions={len(result.corruptions)}")
+    print(f"events={record.events_processed} "
+          f"messages={record.messages_delivered} "
+          f"corruptions={record.corruption_count}")
     if result.perf is not None:
         perf = result.perf
         print(f"perf: {perf.events_per_second:,.0f} events/s "
@@ -339,10 +357,16 @@ def cmd_run(args: argparse.Namespace) -> int:
               f"{len(recorder.violations)} envelope violations) "
               f"written to {args.trace_out}")
     if args.json_out is not None:
-        from repro.metrics.export import write_result
-        write_result(result, args.json_out, warmup=warmup_for(params))
+        _save_json(args.json_out, dataclasses.asdict(record))
         print(f"\nresult record written to {args.json_out}")
-    return 0 if verdict.all_ok else 1
+    return 0 if record.ok else 1
+
+
+def _save_json(path: str, payload) -> None:
+    """The encoder of the run, sweep and evaluate ``--json`` files:
+    sorted keys, two-space indent, ``str`` for any other type."""
+    pathlib.Path(path).write_text(
+        json.dumps(payload, indent=2, sort_keys=True, default=str))
 
 
 def cmd_trace(args: argparse.Namespace) -> int:
@@ -396,8 +420,6 @@ def cmd_bounds(args: argparse.Namespace) -> int:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     """Run a campaign of JSON configs; print one row per run record."""
-    import pathlib
-
     from repro.runner.campaign import Campaign
 
     configs = []
@@ -457,9 +479,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if args.store_dir is not None:
         print(f"results appended to store {args.store_dir}")
     if args.json_out is not None:
-        import dataclasses as dc
         payload = {
-            "records": [dc.asdict(record) for record in store.to_records()],
+            "records": [dataclasses.asdict(record)
+                        for record in store.to_records()],
             "summary": {
                 "runs": len(result.records),
                 "executed": result.executed,
@@ -470,24 +492,22 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                 "fallback_reasons": result.fallback_reasons(),
             },
         }
-        pathlib.Path(args.json_out).write_text(
-            json.dumps(payload, indent=2, sort_keys=True, default=str))
+        _save_json(args.json_out, payload)
         print(f"records written to {args.json_out}")
     return 0 if result.all_ok else 1
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
     """Judge a result store against registered evaluation specs."""
-    import pathlib
-
     from repro.errors import EvaluationError, StoreError
     from repro.runner.evaluation import evaluate_all, registered_specs
-    from repro.runner.store import ResultStore
 
     if args.list_specs:
         for name, spec in sorted(registered_specs().items()):
             print(f"{name}: {spec.description}")
         return 0
+    from repro.runner.store import ResultStore
+
     if args.store_dir is None:
         print("store_dir is required (or use --list)", file=sys.stderr)
         return 2
@@ -515,8 +535,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
             "runs": store.n_runs,
             "reports": [report.to_json() for report in reports],
         }
-        pathlib.Path(args.json_out).write_text(
-            json.dumps(payload, indent=2, sort_keys=True))
+        _save_json(args.json_out, payload)
         print(f"reports written to {args.json_out}")
     if not judged:
         print("no spec applied to this store", file=sys.stderr)
@@ -526,8 +545,6 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 def cmd_soak(args: argparse.Namespace) -> int:
     """Run randomized f-limited segments; fail on any violated guarantee."""
-    import dataclasses
-
     from repro.adversary.plans import PlanSpec, StrategySpec
     from repro.runner.builders import benign_scenario, default_params, warmup_for
     from repro.runner.experiment import run as run_scenario

@@ -1,4 +1,4 @@
-"""Measurement pipeline: sampling, Definition 3 measures, traces, tables.
+"""Measurement pipeline: sampling, Definition 3 measures, tables, plots.
 
 Also re-exports the engine's performance-counter surface
 (:class:`~repro.sim.engine.EnginePerfCounters`): events/sec, heap
@@ -31,15 +31,10 @@ __all__ = [
     "recovery_report",
     "RecoveryReport",
     "RecoveryEvent",
-    "TraceRecorder",
-    "MessageRecord",
-    "CorruptionRecord",
     "table",
     "sparkline",
     "strip_chart",
     "bias_plane",
-    "result_to_dict",
-    "write_result",
     "format_value",
     "ratio",
     "check_mark",
@@ -57,9 +52,6 @@ __getattr__, __dir__ = _lazy.exports(__name__, {
         "accuracy_report", "deviation_series", "good_stretches",
         "recovery_report", "stretch_accuracy",
     ),
-    "repro.metrics.export": (
-        "result_to_dict", "write_result",
-    ),
     "repro.metrics.plots": (
         "bias_plane", "sparkline", "strip_chart",
     ),
@@ -72,8 +64,5 @@ __getattr__, __dir__ = _lazy.exports(__name__, {
     ),
     "repro.metrics.streaming": (
         "OnlineMeasures",
-    ),
-    "repro.metrics.trace": (
-        "CorruptionRecord", "MessageRecord", "TraceRecorder",
     ),
 })

@@ -101,8 +101,8 @@ class Network:
         """Register a callback invoked on every delivered message.
 
         Taps model the paper's adversary, who "can see (but not modify)
-        all the communication in the network"; they are also used by the
-        trace recorder.
+        all the communication in the network"; they also fill
+        ``RunResult.messages`` under ``record_messages``.
         """
         self._taps.append(tap)
 

@@ -245,7 +245,6 @@ def build_cluster(params: ProtocolParams, loop: Any, seed: int = 0,
                   epoch: float | None = None,
                   loopback_delay: float | None = None,
                   stagger: bool = True,
-                  wire: str | dict[int, str] = "binary",
                   telemetry: "bool | ObsConfig" = False) -> LiveCluster:
     """Wire clocks, runtimes, transports, and Sync processes.
 
@@ -260,11 +259,6 @@ def build_cluster(params: ProtocolParams, loop: Any, seed: int = 0,
             default, keeping conformance runs aligned).
         stagger: Give node ``i`` a start phase of
             ``i * sync_interval / n`` so first Syncs don't collide.
-        wire: Outbound datagram encoding for UDP transports —
-            ``"binary"``, ``"json"``, or a per-node mapping (missing
-            nodes default to binary).  Decoding always accepts both, so
-            mixed-wire clusters interoperate (the rolling-upgrade /
-            version-negotiation scenario).
         telemetry: ``False`` (default) leaves the cluster
             uninstrumented — processes never publish protocol events
             and no registry or probe exists, the zero-overhead
@@ -294,9 +288,7 @@ def build_cluster(params: ProtocolParams, loop: Any, seed: int = 0,
             transports[node] = hub
     else:
         for node in range(params.n):
-            node_wire = (wire if isinstance(wire, str)
-                         else wire.get(node, "binary"))
-            transports[node] = UdpTransport(node, now, wire=node_wire)
+            transports[node] = UdpTransport(node, now)
 
     runtimes: dict[int, AsyncioRuntime] = {}
     processes: dict[int, SyncProcess] = {}
@@ -440,13 +432,12 @@ async def _run_cluster_async(params: ProtocolParams, duration: float,
                              sample_interval: float,
                              bus: EventBus | None,
                              serve_base_port: int | None = None,
-                             wire: str | dict[int, str] = "binary",
                              telemetry: "bool | ObsConfig" = False,
                              metrics_port: int | None = None
                              ) -> LiveReport:
     loop = asyncio.get_running_loop()
     cluster = build_cluster(params, loop, seed=seed, transport=transport,
-                            bus=bus, wire=wire, telemetry=telemetry)
+                            bus=bus, telemetry=telemetry)
     metrics_address: tuple[str, int] | None = None
     try:
         if transport == "udp":
@@ -507,7 +498,6 @@ def run_live(nodes: int = 4, f: int = 1, duration: float = 2.0,
              transport: str = "udp", sample_interval: float = 0.1,
              seed: int = 0, bus: EventBus | None = None,
              serve_base_port: int | None = None,
-             wire: str | dict[int, str] = "binary",
              telemetry: "bool | ObsConfig" = False,
              metrics_port: int | None = None) -> LiveReport:
     """Deploy a live Sync cluster and run it for ``duration`` seconds.
@@ -519,18 +509,16 @@ def run_live(nodes: int = 4, f: int = 1, duration: float = 2.0,
     ``live.*`` event (e.g. for JSONL capture).  With ``serve_base_port``
     each node additionally answers client time queries on UDP port
     ``serve_base_port + node`` (see :mod:`repro.service.query`).
-    ``wire`` selects each node's outbound datagram encoding (see
-    :func:`build_cluster`) — a mixed mapping exercises the rolling
-    binary/JSON upgrade path.  ``telemetry`` attaches the live
-    telemetry plane (see :func:`build_cluster`); ``metrics_port`` (0 =
-    ephemeral) additionally serves the Prometheus/health/stats admin
-    endpoint while the cluster runs.
+    ``telemetry`` attaches the live telemetry plane (see
+    :func:`build_cluster`); ``metrics_port`` (0 = ephemeral)
+    additionally serves the Prometheus/health/stats admin endpoint
+    while the cluster runs.
     """
     params = default_live_params(n=nodes, f=f, delta=delta, rho=rho, pi=pi)
     return asyncio.run(_run_cluster_async(params, duration, seed, transport,
                                           sample_interval, bus,
                                           serve_base_port=serve_base_port,
-                                          wire=wire, telemetry=telemetry,
+                                          telemetry=telemetry,
                                           metrics_port=metrics_port))
 
 

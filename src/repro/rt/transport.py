@@ -248,11 +248,6 @@ class UdpTransport(UdpOwner, Transport):
     Args:
         node_id: The owning node.
         now: Callable returning the cluster tau for message stamps.
-        wire: Encoding used for *outbound* datagrams: ``"binary"``
-            (default) or ``"json"`` (the pre-codec form, for rolling
-            upgrades).  Inbound datagrams are always accepted in both
-            forms — that asymmetry is the upgrade path: flip senders to
-            binary one node at a time, old-format peers keep working.
 
     Attributes:
         messages_sent: Datagrams sent to known peers.
@@ -264,12 +259,8 @@ class UdpTransport(UdpOwner, Transport):
             (deployment skew: a peer is running a newer codec).
     """
 
-    def __init__(self, node_id: int, now: Callable[[], float],
-                 wire: str = "binary") -> None:
-        if wire not in ("binary", "json"):
-            raise ConfigurationError(f"unknown wire format {wire!r}")
+    def __init__(self, node_id: int, now: Callable[[], float]) -> None:
         self.node_id = node_id
-        self.wire = wire
         self._now = now
         self._handler: MessageHandler | None = None
         self._peers: dict[int, tuple[str, int]] = {}
@@ -305,8 +296,7 @@ class UdpTransport(UdpOwner, Transport):
             return  # unknown peer: dropped, like a dead link
         self.messages_sent += 1
         self._endpoint.sendto(encode_datagram(sender, recipient, payload,
-                                              self._now(), wire=self.wire),
-                              addr)
+                                              self._now()), addr)
 
     def _on_datagram(self, data: bytes, addr: tuple | None = None) -> None:
         if self._handler is None:

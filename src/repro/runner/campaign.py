@@ -45,7 +45,7 @@ import json
 import logging
 import pathlib
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Sequence
 
 from repro._version import __version__
 from repro.errors import CampaignError, ConfigurationError, StoreError
@@ -53,10 +53,14 @@ from repro.runner.records import RunPerf, RunRecord
 from repro.runner.scenario import Scenario
 from repro.runner.store import Query, ResultStore, canonical_config
 
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.obs.recorder import FlightRecorder
+    from repro.runner.experiment import RunResult
+
 __all__ = [
     "CACHE_FORMAT", "BACKENDS", "RunPerf", "RunRecord", "CampaignResult",
-    "Campaign", "BisectResult", "execute_run", "run_config", "run_configs",
-    "sweep", "replicate",
+    "Campaign", "BisectResult", "execute_run", "run_record", "run_config",
+    "run_configs", "sweep", "replicate",
 ]
 
 _log = logging.getLogger(__name__)
@@ -191,15 +195,40 @@ def execute_run(index: int, config: dict[str, Any],
             fallback_reason = "observed runs use the scalar engine " \
                               "(the flight recorder hooks the per-process path)"
         result = run(scenario, recorder=recorder, stream_measures=stream_measures)
+    return run_record(index, config, result, warmup_intervals, recorder,
+                      fallback_reason)
+
+
+def run_record(index: int, config: dict[str, Any], result: "RunResult",
+               warmup_intervals: float = 3.0,
+               recorder: "FlightRecorder | None" = None,
+               fallback_reason: str | None = None) -> RunRecord:
+    """Judge one finished run into its :class:`RunRecord`.
+
+    The one place a run's record is assembled: :func:`execute_run` and
+    ``repro run`` both call it, so a config has one record schema in
+    the CLI, the campaign and the store.
+
+    Args:
+        index: Campaign position recorded on the result.
+        config: The config the run was built from.
+        result: The :class:`~repro.runner.experiment.RunResult`.
+        warmup_intervals: Warmup in analysis intervals ``T``.
+        recorder: The flight recorder that observed the run, if any.
+        fallback_reason: Why a vector-backend run executed scalar.
+
+    Raises:
+        MeasurementError: When no sample follows the warmup.
+    """
     warmup = warmup_intervals * result.params.t_interval
     verdict = result.verdict(warmup=warmup)
     perf = result.perf
     return RunRecord(
         index=index,
-        name=scenario.name,
+        name=result.scenario.name,
         config=config,
-        seed=scenario.seed,
-        duration=scenario.duration,
+        seed=result.scenario.seed,
+        duration=result.scenario.duration,
         warmup=warmup,
         verdict=verdict,
         accuracy=result.accuracy(),
@@ -209,7 +238,7 @@ def execute_run(index: int, config: dict[str, Any],
         corruption_count=len(result.corruptions),
         events_processed=result.events_processed,
         messages_delivered=result.messages_delivered,
-        sync_executions=len(result.trace.syncs),
+        sync_executions=len(result.syncs),
         perf=RunPerf(
             events_processed=perf.events_processed,
             events_pushed=perf.events_pushed,

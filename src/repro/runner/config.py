@@ -146,6 +146,16 @@ def load_scenario(path: str | pathlib.Path) -> Scenario:
     """Read a JSON config file and build its scenario.
 
     Raises:
+        ConfigurationError: As :func:`load_config`, or on an invalid
+            config.
+    """
+    return scenario_from_config(load_config(path))
+
+
+def load_config(path: str | pathlib.Path) -> dict[str, Any]:
+    """Read a JSON config file (one scenario config object).
+
+    Raises:
         ConfigurationError: On unreadable files or invalid JSON, with
             the path in the message.
     """
@@ -158,4 +168,4 @@ def load_scenario(path: str | pathlib.Path) -> Scenario:
         raise ConfigurationError(f"invalid JSON in {path}: {exc}") from None
     if not isinstance(config, dict):
         raise ConfigurationError(f"config root must be an object: {path}")
-    return scenario_from_config(config)
+    return config

@@ -28,10 +28,12 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Sequence
+from typing import TYPE_CHECKING, Any, Iterable, Sequence
 
 from repro.errors import EvaluationError
-from repro.runner.store import Query, ResultStore
+
+if TYPE_CHECKING:  # pragma: no cover - numpy-free import for `--list`
+    from repro.runner.store import Query, ResultStore
 
 __all__ = [
     "Check",
@@ -125,6 +127,8 @@ class EvaluationSpec:
 
     def select(self, store: ResultStore) -> Query:
         """The spec's row selection over ``store``."""
+        from repro.runner.store import Query
+
         query = store.query()
         for column, op, value in self.where:
             if not store.has_column(column):

@@ -34,7 +34,6 @@ from repro.metrics.sampler import (
     GoodSetIndex,
 )
 from repro.metrics.streaming import OnlineMeasures
-from repro.metrics.trace import MessageRecord, TraceRecorder
 from repro.net.network import Network
 from repro.protocols.base import protocol_factory
 from repro.runner.scenario import Scenario
@@ -43,8 +42,28 @@ from repro.sim.engine import EnginePerfCounters, Simulator
 from repro.sim.runtime import SimRuntime
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.core.sync import SyncRecord
     from repro.obs.recorder import FlightRecorder
     from repro.runtime.messages import Message
+
+
+@dataclass(frozen=True)
+class MessageRecord:
+    """Compact record of a delivered message (``record_messages`` only).
+
+    Attributes:
+        sender: Authenticated sender.
+        recipient: Addressee.
+        kind: Payload class name (``Ping``, ``Pong``, ...).
+        sent_at: Transmission real time.
+        delivered_at: Delivery real time.
+    """
+
+    sender: int
+    recipient: int
+    kind: str
+    sent_at: float
+    delivered_at: float
 
 
 @dataclass
@@ -56,9 +75,12 @@ class RunResult:
         params: Shortcut to ``scenario.params``.
         samples: Grid clock samples.
         corruptions: Audited corruption intervals that occurred.
-        trace: Sync/corruption/message trace.
+        syncs: Every completed Sync execution, all nodes, in time order
+            (listeners fire at non-decreasing simulator event times).
         clocks: Logical clocks by node (with adjustment histories).
         processes: Protocol processes by node.
+        messages: Delivered messages, kept only when the scenario sets
+            ``record_messages`` (long runs deliver millions).
         events_processed: Simulator event count (performance metric).
         messages_delivered: Network delivery count.
         perf: Engine performance counters (events/sec, heap high-water
@@ -76,9 +98,10 @@ class RunResult:
     params: ProtocolParams
     samples: ClockSamples
     corruptions: list[CorruptionInterval]
-    trace: TraceRecorder
+    syncs: list[SyncRecord]
     clocks: dict[int, LogicalClock]
     processes: dict[int, Process] = field(repr=False, default_factory=dict)
+    messages: list[MessageRecord] = field(repr=False, default_factory=list)
     events_processed: int = 0
     messages_delivered: int = 0
     perf: EnginePerfCounters | None = None
@@ -181,10 +204,11 @@ def run(scenario: Scenario, recorder: "FlightRecorder | None" = None,
     network = Network(sim, scenario.resolved_topology(),
                       scenario.resolved_delay_model(),
                       loss_rate=scenario.loss_rate)
-    trace = TraceRecorder()
+    syncs: list[SyncRecord] = []
+    messages: list[MessageRecord] = []
     if scenario.record_messages:
         def record_message(message: Message) -> None:
-            trace.messages.append(MessageRecord(
+            messages.append(MessageRecord(
                 message.sender, message.recipient,
                 type(message.payload).__name__,
                 message.sent_at, message.delivered_at))
@@ -213,7 +237,7 @@ def run(scenario: Scenario, recorder: "FlightRecorder | None" = None,
         runtime.bind(process)
         processes[node] = process
         if hasattr(process, "sync_listeners"):
-            process.sync_listeners.append(trace.on_sync)
+            process.sync_listeners.append(syncs.append)
 
     # Adversary.
     corruptions: list[CorruptionInterval] = []
@@ -221,7 +245,7 @@ def run(scenario: Scenario, recorder: "FlightRecorder | None" = None,
     if scenario.plan_builder is not None:
         plan = list(scenario.plan_builder(scenario, clocks))
         adversary = MobileAdversary(
-            sim, network, plan, f=params.f, pi=params.pi, trace=trace,
+            sim, network, plan, f=params.f, pi=params.pi,
             enforce=scenario.enforce_f_limit,
         )
         adversary.install()
@@ -278,9 +302,10 @@ def run(scenario: Scenario, recorder: "FlightRecorder | None" = None,
         params=params,
         samples=sampler.samples,
         corruptions=corruptions,
-        trace=trace,
+        syncs=syncs,
         clocks=clocks,
         processes=processes,
+        messages=messages,
         events_processed=sim.events_processed,
         messages_delivered=network.messages_delivered,
         perf=sim.perf_counters(),

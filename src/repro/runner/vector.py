@@ -72,7 +72,7 @@ def run_vector(scenario: Scenario, stream_measures: bool = False) -> RunResult:
     """Execute one scenario on the vector backend (scalar fallback).
 
     Byte-identical to :func:`repro.runner.experiment.run` for the same
-    scenario: same clocks and adjustment histories, same trace, same
+    scenario: same clocks and adjustment histories, same Sync records, same
     samples or streamed measures, same deterministic engine counters.
     ``processes`` is empty (the batch engine has no per-node process
     objects) and no flight recorder can attach; campaigns that observe
@@ -108,7 +108,7 @@ def run_vector_report(scenario: Scenario,
         params=scenario.params,
         samples=output.samples,
         corruptions=output.corruptions,
-        trace=output.trace,
+        syncs=output.syncs,
         clocks=output.clocks,
         processes={},
         events_processed=output.events_processed,

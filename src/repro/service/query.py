@@ -38,7 +38,7 @@ import time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from repro.errors import ConfigurationError, ReproError
+from repro.errors import ReproError
 from repro.rt.codec import (
     TransportError,
     decode_datagram,
@@ -257,8 +257,6 @@ class TimeQueryServer(UdpOwner):
             live, Sync-corrected clock).
         node_id: Identity stamped into replies; defaults to the
             service's node.
-        wire: Outbound encoding (``"binary"`` or ``"json"``); inbound
-            queries are accepted in both forms.
         metrics: Optional :class:`~repro.obs.metricsreg.MetricsRegistry`
             — when given, every answered query records its service time
             into the node's ``query_latency_seconds`` log-bucketed
@@ -276,15 +274,11 @@ class TimeQueryServer(UdpOwner):
     """
 
     def __init__(self, service: SecureTimeService, node_id: int | None = None,
-                 wire: str = "binary",
                  metrics: "MetricsRegistry | None" = None,
                  introspection: "ClusterIntrospection | None" = None) -> None:
-        if wire not in ("binary", "json"):
-            raise ConfigurationError(f"unknown wire format {wire!r}")
         self.service = service
         self.node_id = (service.process.node_id if node_id is None
                         else int(node_id))
-        self.wire = wire
         self.introspection = introspection
         self._latency = (metrics.latency_histogram("query_latency_seconds",
                                                    self.node_id)
@@ -309,8 +303,8 @@ class TimeQueryServer(UdpOwner):
         if not reply.ok:
             self.queries_failed += 1
         self._endpoint.sendto(
-            encode_datagram(self.node_id, sender, reply, self.service.now(),
-                            wire=self.wire), addr)
+            encode_datagram(self.node_id, sender, reply, self.service.now()),
+            addr)
         if self._latency is not None:
             self._latency.observe(time.perf_counter() - started)
 
@@ -334,7 +328,6 @@ class TimeQueryClient:
         client_id: Sender id stamped into requests; negative by
             convention (outside the node-id space).
         timeout: Per-request reply timeout in seconds.
-        wire: Outbound encoding (``"binary"`` or ``"json"``).
 
     Attributes:
         replies_unmatched: Replies whose qid had no waiter (late
@@ -344,15 +337,11 @@ class TimeQueryClient:
     """
 
     def __init__(self, host: str = "127.0.0.1", port: int = 0,
-                 client_id: int = DEFAULT_CLIENT_ID, timeout: float = 1.0,
-                 wire: str = "binary") -> None:
-        if wire not in ("binary", "json"):
-            raise ConfigurationError(f"unknown wire format {wire!r}")
+                 client_id: int = DEFAULT_CLIENT_ID, timeout: float = 1.0) -> None:
         self.host = host
         self.port = int(port)
         self.client_id = int(client_id)
         self.timeout = float(timeout)
-        self.wire = wire
         self._endpoint: UdpEndpoint | None = None
         self._qids = itertools.count(1)
         self._pending: dict[int, asyncio.Future] = {}
@@ -406,7 +395,7 @@ class TimeQueryClient:
         future.qid = qid
         self._pending[qid] = future
         self._endpoint.send(
-            encode_datagram(self.client_id, -1, query, 0.0, wire=self.wire))
+            encode_datagram(self.client_id, -1, query, 0.0))
         return future
 
     async def request(self, op: str, **fields) -> tuple[TimeReply, float]:

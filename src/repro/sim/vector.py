@@ -68,7 +68,6 @@ from repro.errors import AdversaryError, SimulationError
 from repro.metrics.columns import new_column
 from repro.metrics.sampler import ClockSamples, CorruptionInterval
 from repro.metrics.streaming import OnlineMeasures
-from repro.metrics.trace import TraceRecorder
 from repro.net.links import UniformDelay
 from repro.sim.engine import EnginePerfCounters
 from repro.sim.rng import RngRegistry
@@ -158,13 +157,13 @@ class VectorRunOutput:
 
     Field-for-field byte-identical to what the scalar engine produces
     for the same spec: real clocks with full adjustment histories, the
-    real trace recorder, the same sample columns (or the same finalized
+    same Sync records, the same sample columns (or the same finalized
     online measures), and the same deterministic engine counters.
     """
 
     clocks: dict[int, LogicalClock]
     corruptions: list[CorruptionInterval]
-    trace: TraceRecorder
+    syncs: list[SyncRecord]
     samples: ClockSamples
     stream: OnlineMeasures | None
     events_processed: int
@@ -194,7 +193,7 @@ def simulate_run(spec: VectorSpec) -> VectorRunOutput:
 
     rngs = RngRegistry(spec.seed)
     stream_fn = rngs.stream
-    trace = TraceRecorder()
+    syncs: list[SyncRecord] = []
 
     # -- clocks (real factories, real streams, same draw order) ---------
     clocks: dict[int, LogicalClock] = {}
@@ -264,8 +263,7 @@ def simulate_run(spec: VectorSpec) -> VectorRunOutput:
     afters = [clocks[node].hardware.real_time_after for node in range(n)]
     times_append = samples.times.append
     sample_appends = [samples.clocks[node].append for node in range(n)]
-    on_sync = trace.on_sync
-    on_corruption = trace.on_corruption
+    on_sync = syncs.append
     on_sample = stream.on_sample if stream is not None else None
 
     # -- inlined clock reads --------------------------------------------
@@ -605,7 +603,6 @@ def simulate_run(spec: VectorSpec) -> VectorRunOutput:
                 cancelled_add(timer)
                 ncancelled += 1
                 node_timer[node] = -1
-            on_corruption(node, t, "break_in", corruption.strategy.name)
 
         else:  # _LEAVE
             corruption = plan[ev[3]]
@@ -633,12 +630,11 @@ def simulate_run(spec: VectorSpec) -> VectorRunOutput:
             hsize += 1
             if hsize > high_water:
                 high_water = hsize
-            on_corruption(node, t, "release", corruption.strategy.name)
 
         if complete_node >= 0:
             # Complete the Sync: estimates in sorted-peer order (timeout
             # = (0, inf)), optional self estimate, one decision-kernel
-            # call, real clock adjustment, real trace record, next alarm.
+            # call, real clock adjustment, real Sync record, next alarm.
             o = complete_node
             complete_node = -1
             sess_active[o] = -1
@@ -705,7 +701,7 @@ def simulate_run(spec: VectorSpec) -> VectorRunOutput:
     return VectorRunOutput(
         clocks=clocks,
         corruptions=corruptions,
-        trace=trace,
+        syncs=syncs,
         samples=samples,
         stream=stream,
         events_processed=fired,

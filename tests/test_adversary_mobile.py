@@ -19,10 +19,10 @@ from repro.adversary.strategies import SilentStrategy
 from repro.clocks.hardware import FixedRateClock
 from repro.clocks.logical import LogicalClock
 from repro.errors import AdversaryError
-from repro.metrics.trace import TraceRecorder
 from repro.net.links import FixedDelay
 from repro.net.network import Network
 from repro.net.topology import full_mesh
+from repro.obs.bus import EventBus
 from repro.runtime.process import Process
 from repro.sim.runtime import SimRuntime
 
@@ -184,13 +184,19 @@ class TestMobileAdversaryExecution:
         MobileAdversary(sim, network, plan, f=1, pi=0.5, enforce=False)
 
     def test_trace_records_actions(self, sim):
+        """Break-ins and releases are published on the bus, stamped with
+        the simulator time, naming the strategy."""
         network, _ = self.build(sim)
-        trace = TraceRecorder()
+        bus = EventBus(clock=lambda: sim.now)
+        events = []
+        bus.subscribe(events.append)
         plan = [PlannedCorruption(node=2, start=0.5, end=1.0, strategy=SilentStrategy())]
-        MobileAdversary(sim, network, plan, f=1, pi=0.5, trace=trace).install()
+        adversary = MobileAdversary(sim, network, plan, f=1, pi=0.5)
+        adversary.obs = bus
+        adversary.install()
         sim.run()
-        assert [(r.node, r.action) for r in trace.corruptions] == [
-            (2, "break_in"), (2, "release")]
+        assert [(e.kind, e.node, e.time, e.data["strategy"]) for e in events] == [
+            ("adv.break_in", 2, 0.5, "silent"), ("adv.release", 2, 1.0, "silent")]
 
     def test_never_released_corruption(self, sim):
         network, victims = self.build(sim)

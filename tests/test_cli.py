@@ -194,6 +194,23 @@ def test_run_stream_flag_matches_posthoc(capsys):
     assert strip(streamed) == strip(posthoc)
 
 
+def test_run_shorter_than_warmup_is_one_error_line(capsys):
+    """A run that ends inside the 3T warmup has no measure; ``run``
+    reports it like a sweep's error record, on one stderr line."""
+    assert main(["run", "--duration", "0.5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("MeasurementError: no samples with a non-trivial "
+                            "good set after warmup\n")
+
+
+def test_run_missing_config_is_one_error_line(tmp_path, capsys):
+    assert main(["run", "--config", str(tmp_path / "nope.json")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("ConfigurationError: config file not found")
+    assert err.count("\n") == 1
+
+
 def test_sweep_stream_flag_caches_separately(tmp_path, capsys):
     """--stream records match the post-hoc sweep but use their own cache."""
     path = _sweep_file(tmp_path, n_configs=1)

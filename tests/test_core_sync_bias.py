@@ -77,9 +77,9 @@ class TestEquivalence:
         the same magnitude in both formulations."""
         fig1, fig2 = run_pair(recovery_scenario, params=fast_params(),
                               duration=5.0, seed=8)
-        jumps1 = [(r.node_id, r.round_no) for r in fig1.trace.syncs
+        jumps1 = [(r.node_id, r.round_no) for r in fig1.syncs
                   if r.own_discarded]
-        jumps2 = [(r.node_id, r.round_no) for r in fig2.trace.syncs
+        jumps2 = [(r.node_id, r.round_no) for r in fig2.syncs
                   if r.own_discarded]
         assert jumps1 == jumps2
         assert jumps1, "the recovery scenario should exercise the branch"
@@ -102,5 +102,5 @@ class TestBiasProcessAlone:
         scenario = benign_scenario(params, duration=2.0, seed=10)
         scenario = dataclasses.replace(scenario, protocol=make_bias_sync)
         result = run(scenario)
-        for record in result.trace.syncs:
+        for record in result.syncs:
             assert abs(record.m) < 1.0  # relative, not an absolute bias

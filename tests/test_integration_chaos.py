@@ -68,7 +68,7 @@ class TestChaos:
     def test_loss_actually_happened(self, chaos_result):
         """The chaos must be real: messages were dropped, syncs saw
         timeouts, yet the bound held."""
-        starved = [r for r in chaos_result.trace.syncs
+        starved = [r for r in chaos_result.syncs
                    if r.replies < chaos_result.params.n - 1]
         assert starved, "expected some syncs with missing replies"
 

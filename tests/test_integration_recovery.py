@@ -149,6 +149,6 @@ class TestNoRecoveryDetectionNeeded:
         params = fast_params()
         result = run(recovery_scenario(params, duration=8.0, seed=10,
                                        record_messages=True))
-        kinds = {m.kind for m in result.trace.messages}
+        kinds = {m.kind for m in result.messages}
         assert kinds <= {"Ping", "Pong"}
         assert result.recovery().all_recovered

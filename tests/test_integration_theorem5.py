@@ -131,5 +131,5 @@ class TestEnvelopeBehaviour:
         is the bias-space update shifted by tau."""
         params = fast_params()
         result = run(benign_scenario(params, duration=4.0, seed=1))
-        checked = verify_bias_formulation(result.samples, result.trace.syncs)
+        checked = verify_bias_formulation(result.samples, result.syncs)
         assert checked > 0

@@ -1,16 +1,18 @@
-"""Tests for the JSON result exporter."""
+"""The JSON record of one run: ``repro run --json`` writes the run's
+:class:`~repro.runner.records.RunRecord`, the schema of ``repro sweep
+--json`` and of the result store."""
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
-from repro.metrics.export import result_to_dict, write_result
 from repro.runner.builders import (
     benign_scenario,
     default_params,
     mobile_byzantine_scenario,
-    warmup_for,
 )
+from repro.runner.campaign import execute_run, run_record
 from repro.runner.experiment import run
 
 
@@ -19,43 +21,30 @@ def make_result():
     return run(mobile_byzantine_scenario(params, duration=6.0, seed=20))
 
 
+def record_of(result, **kwargs):
+    return run_record(0, result.scenario.to_config(), result, **kwargs)
+
+
 def test_round_trips_through_json():
     result = make_result()
-    payload = result_to_dict(result, warmup=warmup_for(result.params))
-    encoded = json.dumps(payload)
-    decoded = json.loads(encoded)
-    assert decoded["params"]["n"] == 4
-    assert decoded["verdict"]["all_ok"] is True
-    assert decoded["counters"]["messages_delivered"] > 0
-    assert len(decoded["corruptions"]) == len(result.corruptions)
-
-
-def test_infinities_encoded_as_strings():
-    result = make_result()
-    payload = result_to_dict(result)
-    # Force an infinity through the encoder path.
-    from repro.metrics.export import _finite
-    assert _finite(float("inf")) == "inf"
-    assert _finite(float("-inf")) == "-inf"
-    assert _finite(float("nan")) == "nan"
-    json.dumps(payload)  # no ValueError from non-finite floats
-
-
-def test_samples_opt_in():
-    result = make_result()
-    lean = result_to_dict(result)
-    fat = result_to_dict(result, include_samples=True)
-    assert "samples" not in lean
-    assert len(fat["samples"]["times"]) == len(result.samples.times)
-    assert set(fat["samples"]["clocks"]) == {"0", "1", "2", "3"}
+    decoded = json.loads(json.dumps(dataclasses.asdict(record_of(result))))
+    assert decoded["config"]["params"]["n"] == 4
+    assert decoded["verdict"]["deviation_ok"] is True
+    assert decoded["messages_delivered"] > 0
+    assert decoded["corruption_count"] == len(result.corruptions)
+    assert decoded["sync_executions"] == len(result.syncs)
 
 
 def test_write_result(tmp_path):
-    result = make_result()
+    """The warmup is three analysis intervals, as in a campaign."""
+    from repro.cli import main
+
     path = tmp_path / "run.json"
-    write_result(result, path, warmup=1.0)
+    assert main(["run", "--scenario", "benign", "--duration", "2",
+                 "--n", "4", "--f", "1", "--json", str(path)]) == 0
     decoded = json.loads(path.read_text())
-    assert decoded["verdict"]["warmup"] == 1.0
+    params = default_params(n=4, f=1)
+    assert decoded["warmup"] == 3.0 * params.t_interval
 
 
 def test_cli_json_flag(tmp_path, capsys):
@@ -66,13 +55,36 @@ def test_cli_json_flag(tmp_path, capsys):
                  "--n", "4", "--f", "1", "--json", str(out_path)])
     assert code == 0
     decoded = json.loads(out_path.read_text())
-    assert decoded["scenario"]["name"] == "benign"
+    assert decoded["name"] == "benign"
+    assert decoded["error"] is None
+
+
+def test_run_json_is_the_sweep_record(tmp_path, capsys):
+    """One config, one record: ``run --config --json`` writes what
+    ``sweep --json`` and :func:`execute_run` produce for it."""
+    from repro.cli import main
+
+    config = {"params": {"n": 4, "f": 1, "delta": 0.005, "rho": 5e-4,
+                         "pi": 2.0},
+              "scenario": "mobile-byzantine", "duration": 6.0, "seed": 3}
+    config_path = tmp_path / "c.json"
+    config_path.write_text(json.dumps(config))
+    run_path, sweep_path = tmp_path / "a.json", tmp_path / "b.json"
+    assert main(["run", "--config", str(config_path),
+                 "--json", str(run_path)]) == 0
+    assert main(["sweep", str(config_path), "--json", str(sweep_path)]) == 0
+
+    written = run_path.read_text()
+    assert written == json.dumps(dataclasses.asdict(execute_run(0, config)),
+                                 indent=2, sort_keys=True)
+    (swept,) = json.loads(sweep_path.read_text())["records"]
+    canonical = lambda payload: json.dumps(payload, indent=2, sort_keys=True)
+    assert canonical(json.loads(written)) == canonical(swept)
 
 
 def test_perf_counters_exported():
     result = run(benign_scenario(duration=3.0, seed=5))
-    payload = result_to_dict(result)
-    perf = payload["perf"]
+    perf = dataclasses.asdict(record_of(result))["perf"]
     assert perf["events_processed"] == result.events_processed
     assert perf["events_pushed"] >= perf["events_processed"]
     assert 0.0 <= perf["cancelled_ratio"] <= 1.0
@@ -81,21 +93,18 @@ def test_perf_counters_exported():
     # must serialize byte-identically.
     assert "run_wall_time" not in perf
     assert "events_per_second" not in perf
-    json.dumps(payload)  # still JSON-safe
 
 
-def test_obs_section_present_only_with_recorder(tmp_path):
+def test_obs_section_present_only_with_recorder():
     from repro.obs import FlightRecorder
 
     plain = run(benign_scenario(duration=3.0, seed=5))
-    assert "obs" not in result_to_dict(plain)
+    assert record_of(plain).obs is None
 
     recorder = FlightRecorder()
     observed = run(benign_scenario(duration=3.0, seed=5), recorder=recorder)
-    payload = result_to_dict(observed)
-    obs = payload["obs"]
+    obs = record_of(observed, recorder=recorder).obs
     assert obs["events"] == len(recorder.events)
     assert obs["spans"] == len(recorder.spans)
     assert obs["violations"] == []
-    assert "syncs_completed" in obs["metrics"]["counters"]
-    json.dumps(payload)
+    json.dumps(obs)

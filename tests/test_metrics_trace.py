@@ -1,60 +1,66 @@
-"""Unit tests for the trace recorder."""
+"""The run's history on :class:`~repro.runner.experiment.RunResult`.
+
+Sync executions (``syncs``), delivered messages (``messages``, only
+under ``record_messages``) and the adversary's break-ins and releases
+(``adv.*`` bus events) are each kept in one place.
+"""
 
 from __future__ import annotations
 
-from repro.core.sync import SyncRecord
-from repro.metrics.trace import TraceRecorder
-
-
-def sync_record(node=0, round_no=1, real_time=1.0, own_discarded=False):
-    return SyncRecord(node_id=node, round_no=round_no, real_time=real_time,
-                      local_before=real_time, correction=0.0, m=0.0, big_m=0.0,
-                      own_discarded=own_discarded, replies=3)
+from repro.runner.builders import (
+    benign_scenario,
+    default_params,
+    mobile_byzantine_scenario,
+    recovery_scenario,
+)
+from repro.runner.experiment import run
 
 
 def test_messages_recorded_only_when_enabled():
-    from repro.runner.builders import benign_scenario, default_params
-    from repro.runner.experiment import run
-
     params = default_params(n=4, f=1)
     off = run(benign_scenario(params, duration=2.0, seed=1))
-    assert off.trace.messages == []
+    assert off.messages == []
     on = run(benign_scenario(params, duration=2.0, seed=1,
                              record_messages=True))
-    assert len(on.trace.messages) == on.messages_delivered
-    assert {m.kind for m in on.trace.messages} == {"Ping", "Pong"}
+    assert len(on.messages) == on.messages_delivered
+    assert {m.kind for m in on.messages} == {"Ping", "Pong"}
 
 
 def test_sync_records_accumulate():
-    trace = TraceRecorder()
-    trace.on_sync(sync_record(node=0, real_time=1.0))
-    trace.on_sync(sync_record(node=1, real_time=2.0))
-    assert len(trace.syncs) == 2
+    """``syncs`` is every process's ``sync_records``, merged in time
+    order: the same records, none lost or doubled."""
+    result = run(mobile_byzantine_scenario(default_params(n=4, f=1),
+                                           duration=8.0, seed=4))
+    per_node = [record for process in result.processes.values()
+                for record in process.sync_records]
+    assert len(result.syncs) == len(per_node) > 0
+    assert sorted(map(id, result.syncs)) == sorted(map(id, per_node))
 
 
 def test_discarded_own_clock_filter():
-    trace = TraceRecorder()
-    trace.on_sync(sync_record(own_discarded=False))
-    trace.on_sync(sync_record(own_discarded=True))
-    assert len(trace.discarded_own_clock()) == 1
+    """The WayOff branch fires for the scrambled victim after release."""
+    params = default_params(n=4, f=1)
+    result = run(recovery_scenario(params, duration=8.0, seed=4))
+    discards = [r for r in result.syncs if r.own_discarded]
+    assert [r.node_id for r in discards] == [0]
+    assert discards[0].real_time > result.corruptions[0].end
 
 
 def test_corruption_actions_recorded():
-    trace = TraceRecorder()
-    trace.on_corruption(3, 1.0, "break_in", "silent")
-    trace.on_corruption(3, 2.0, "release", "silent")
-    assert [(r.node, r.time, r.action, r.strategy) for r in trace.corruptions] == [
-        (3, 1.0, "break_in", "silent"),
-        (3, 2.0, "release", "silent"),
-    ]
+    from repro.obs import FlightRecorder
+
+    recorder = FlightRecorder()
+    result = run(recovery_scenario(default_params(n=4, f=1), duration=8.0,
+                                   seed=4), recorder=recorder)
+    actions = [(e.kind, e.node, e.time) for e in recorder.events
+               if e.kind.startswith("adv.")]
+    (interval,) = result.corruptions
+    assert actions == [("adv.break_in", interval.node, interval.start),
+                       ("adv.release", interval.node, interval.end)]
 
 
 def test_live_run_syncs_are_time_ordered():
-    from repro.runner.builders import default_params, mobile_byzantine_scenario
-    from repro.runner.experiment import run
-
     params = default_params(n=4, f=1)
     result = run(mobile_byzantine_scenario(params, duration=8.0, seed=4))
-    trace = result.trace
-    assert [r.real_time for r in trace.syncs] \
-        == sorted(r.real_time for r in trace.syncs)
+    assert [r.real_time for r in result.syncs] \
+        == sorted(r.real_time for r in result.syncs)

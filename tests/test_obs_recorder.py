@@ -56,8 +56,8 @@ class TestRecorderIntegration:
         assert observed.messages_delivered == plain.messages_delivered
         assert observed.samples.times == plain.samples.times
         assert observed.samples.clocks == plain.samples.clocks
-        assert [r.correction for r in observed.trace.syncs] \
-            == [r.correction for r in plain.trace.syncs]
+        assert [r.correction for r in observed.syncs] \
+            == [r.correction for r in plain.syncs]
 
     def test_identical_seeds_byte_identical_streams(self, tmp_path):
         first, _ = record_run(mobile_byzantine_scenario(duration=10.0, seed=7))

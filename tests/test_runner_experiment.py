@@ -72,12 +72,17 @@ class TestWiring:
 
     def test_trace_collects_syncs_from_all_nodes(self):
         result = run(benign_scenario(fast_params(), duration=2.0))
-        assert {r.node_id for r in result.trace.syncs} == set(range(4))
+        assert {r.node_id for r in result.syncs} == set(range(4))
 
     def test_corruption_trace_matches_plan(self):
-        result = run(mobile_byzantine_scenario(fast_params(), duration=6.0, seed=3))
-        break_ins = [r for r in result.trace.corruptions if r.action == "break_in"]
-        assert len(break_ins) == len(result.corruptions)
+        from repro.obs import FlightRecorder
+
+        recorder = FlightRecorder()
+        result = run(mobile_byzantine_scenario(fast_params(), duration=6.0, seed=3),
+                     recorder=recorder)
+        break_ins = [(e.node, e.time) for e in recorder.events
+                     if e.kind == "adv.break_in"]
+        assert break_ins == [(c.node, c.start) for c in result.corruptions]
 
     def test_f_limit_enforced_by_default(self):
         params = fast_params()
@@ -97,7 +102,7 @@ class TestWiring:
     def test_stagger_phases_off_gives_lockstep(self):
         result = run(benign_scenario(fast_params(), duration=1.0,
                                      stagger_phases=False))
-        firsts = sorted(r.real_time for r in result.trace.syncs
+        firsts = sorted(r.real_time for r in result.syncs
                         if r.round_no == 1)
         assert max(firsts) - min(firsts) < 2 * result.params.max_wait
 

@@ -14,8 +14,13 @@ from types import SimpleNamespace
 
 import pytest
 
-from repro.errors import ConfigurationError, ReproError
-from repro.rt.codec import decode_datagram, encode_datagram
+from repro.errors import ReproError
+from repro.rt.codec import (
+    MAGIC,
+    decode_datagram,
+    encode_datagram,
+    encode_datagram_json,
+)
 from repro.rt.transport import DRAIN_LIMIT
 from repro.service.query import (
     OP_EPOCH,
@@ -150,8 +155,8 @@ class TestAdminOps:
         assert decoded == reply  # dict payload survives the generic body
 
 
-async def _serve(service, *, server_wire="binary"):
-    server = TimeQueryServer(service, wire=server_wire)
+async def _serve(service):
+    server = TimeQueryServer(service)
     await server.start()
     return server
 
@@ -248,27 +253,35 @@ class TestUdpRoundTrip:
         assert self.run(scenario()) == (2, 0)
 
     def test_json_client_interoperates_with_binary_server(self):
-        # The rolling-upgrade scenario at the query boundary: decode
-        # sniffs the wire, so a legacy JSON client works unchanged
-        # against a binary server (and the reply wire is the server's).
-        async def scenario():
-            server = await _serve(FakeTimeService(start=100.0, step=0.0),
-                                  server_wire="binary")
-            client = TimeQueryClient(port=server.address[1], wire="json")
-            try:
-                await client.connect()
-                return await client.now()
-            finally:
-                client.close()
-                server.close()
+        # Decode sniffs the leader byte, so a legacy JSON datagram is
+        # still answered; the reply is binary, the only outbound form.
+        query = encode_datagram_json(-7, -1, TimeQuery(op=OP_NOW, qid=5), 0.0)
 
-        assert self.run(scenario()) == 100.0
+        async def scenario():
+            server = await _serve(FakeTimeService(start=100.0, step=0.0))
+            with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as peer:
+                peer.setblocking(False)
+                peer.sendto(query, server.address)
+                for _ in range(200):
+                    try:
+                        data = peer.recv(4096)
+                        break
+                    except BlockingIOError:
+                        await asyncio.sleep(0.005)
+            server.close()
+            return data
+
+        data = self.run(scenario())
+        assert data[0] == MAGIC
+        _sender, recipient, reply, _sent_at = decode_datagram(data)
+        assert (recipient, reply.qid, reply.ok, reply.value) == (-7, 5, True, 100.0)
 
     def test_rejects_unknown_wire(self):
-        with pytest.raises(ConfigurationError):
-            TimeQueryClient(wire="yaml")
-        with pytest.raises(ConfigurationError):
-            TimeQueryServer(FakeTimeService(), wire="yaml")
+        # Outbound datagrams are binary: there is no wire option to set.
+        with pytest.raises(TypeError):
+            TimeQueryClient(wire="json")
+        with pytest.raises(TypeError):
+            TimeQueryServer(FakeTimeService(), wire="json")
 
 
 class TestConformance:

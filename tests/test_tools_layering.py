@@ -266,3 +266,18 @@ def test_deployment_layers_load_no_numpy(import_closures):
     assert len(checked) >= 32
     assert sorted(module for module in checked
                   if "numpy" in import_closures[module]) == []
+
+
+def test_evaluate_list_loads_no_numpy():
+    """``repro evaluate --list`` names the registered specs without
+    loading the result store, and so without numpy."""
+    src = pathlib.Path(repro.__file__).resolve().parents[1]
+    probe = ("import sys; from repro.cli import main;"
+             " code = main(['evaluate', '--list']);"
+             " print(code, 'numpy' in sys.modules)")
+    result = subprocess.run([sys.executable, "-c", probe],
+                            env={**os.environ, "PYTHONPATH": str(src)},
+                            capture_output=True, text=True, check=True)
+    lines = result.stdout.splitlines()
+    assert "theorem5-envelope: " in result.stdout
+    assert lines[-1] == "0 False"

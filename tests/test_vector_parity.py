@@ -4,7 +4,7 @@ Random small scenarios inside the vector envelope — fuzzed n/f, delay
 specs, clock populations, topologies, loss, offsets, and silent-fault
 plans (crash and recovery, including nodes that stay crashed through
 the horizon) — must produce *identical* results on both backends: the
-same Figure-1 ``CorrectionDecision`` sequence (``trace.syncs``), the
+same Figure-1 ``CorrectionDecision`` sequence (``syncs``), the
 same final logical clocks (reading, accumulated adjustment, adjustment
 history), the same samples or streamed Definition-3 measures, and the
 same deterministic engine counters.  Equality is ``==`` on floats:
@@ -57,9 +57,8 @@ TOPOLOGIES = [None, TopologySpec(kind="full-mesh"),
 
 def assert_exact_parity(scalar: RunResult, vector: RunResult) -> None:
     """Float-exact equality of everything both backends produce."""
-    assert scalar.trace.syncs == vector.trace.syncs
-    assert scalar.trace.corruptions == vector.trace.corruptions
-    assert list(scalar.corruptions) == list(vector.corruptions)
+    assert scalar.syncs == vector.syncs
+    assert scalar.corruptions == vector.corruptions
 
     assert list(scalar.samples.times) == list(vector.samples.times)
     assert (list(scalar.samples.clocks) == list(vector.samples.clocks))
@@ -281,4 +280,4 @@ def test_record_messages_is_scalar_only():
                         seed=1, record_messages=True, name="msgs")
     assert scalar_only_reason(scenario) is not None
     vector = run_vector(scenario)
-    assert vector.trace.messages  # the scalar fallback recorded traffic
+    assert vector.messages  # the scalar fallback recorded traffic
