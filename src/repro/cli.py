@@ -357,16 +357,20 @@ def cmd_run(args: argparse.Namespace) -> int:
               f"{len(recorder.violations)} envelope violations) "
               f"written to {args.trace_out}")
     if args.json_out is not None:
-        _save_json(args.json_out, dataclasses.asdict(record))
+        _write_json(args.json_out, dataclasses.asdict(record))
         print(f"\nresult record written to {args.json_out}")
     return 0 if record.ok else 1
 
 
-def _save_json(path: str, payload) -> None:
-    """The encoder of the run, sweep and evaluate ``--json`` files:
-    sorted keys, two-space indent, ``str`` for any other type."""
-    pathlib.Path(path).write_text(
-        json.dumps(payload, indent=2, sort_keys=True, default=str))
+def _write_json(destination: str, payload) -> None:
+    """The encoder of every ``--json`` document: sorted keys, two-space
+    indent, ``str`` for any other type; ``"-"`` writes to stdout.  The
+    verb prints its own message."""
+    text = json.dumps(payload, indent=2, sort_keys=True, default=str)
+    if destination == "-":
+        print(text)
+    else:
+        pathlib.Path(destination).write_text(text)
 
 
 def cmd_trace(args: argparse.Namespace) -> int:
@@ -492,7 +496,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                 "fallback_reasons": result.fallback_reasons(),
             },
         }
-        _save_json(args.json_out, payload)
+        _write_json(args.json_out, payload)
         print(f"records written to {args.json_out}")
     return 0 if result.all_ok else 1
 
@@ -535,7 +539,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
             "runs": store.n_runs,
             "reports": [report.to_json() for report in reports],
         }
-        _save_json(args.json_out, payload)
+        _write_json(args.json_out, payload)
         print(f"reports written to {args.json_out}")
     if not judged:
         print("no spec applied to this store", file=sys.stderr)
@@ -576,41 +580,35 @@ def cmd_soak(args: argparse.Namespace) -> int:
 
 
 def cmd_live(args: argparse.Namespace) -> int:
-    """Run Sync on real asyncio nodes and report live deviations."""
-    from repro.rt.live import run_live, run_single_node
+    """Run Sync on real asyncio nodes and report live deviations.
 
-    if args.node_index is not None:
-        # Child mode (spawned by --processes): run one node, stream
-        # samples as JSON lines for the parent to aggregate.
-        summary = run_single_node(
-            args.node_index, args.nodes, args.f, args.duration,
-            delta=args.delta, rho=args.rho, pi=args.pi,
-            base_port=args.base_port, epoch=args.epoch or 0.0,
-            sample_interval=args.sample_interval, seed=args.seed,
-            emit=lambda record: print(json.dumps(record), flush=True))
-        print(json.dumps({"summary": summary}), flush=True)
-        return 0
+    A ``--node-index`` run is one process of a ``--processes`` cluster:
+    the same run, hosting only that node.
+    """
+    from repro.errors import ReproError
+    from repro.rt.live import run_live
 
-    if args.processes:
-        return _cmd_live_processes(args)
-
-    telemetry = (args.telemetry or args.metrics_port is not None
-                 or args.trace_out is not None)
-    bus = None
-    captured = []
-    if args.trace_out is not None:
-        from repro.obs import EventBus
-        bus = EventBus()
-        bus.subscribe(captured.append)
-    report = run_live(nodes=args.nodes, f=args.f, duration=args.duration,
-                      delta=args.delta, rho=args.rho, pi=args.pi,
-                      transport=args.transport,
-                      sample_interval=args.sample_interval,
-                      seed=args.seed, bus=bus,
-                      serve_base_port=(args.serve_base_port if args.serve
-                                       else None),
-                      telemetry=telemetry,
-                      metrics_port=args.metrics_port)
+    try:
+        if args.processes:
+            return _cmd_live_processes(args)
+        report = run_live(nodes=args.nodes, f=args.f, duration=args.duration,
+                          delta=args.delta, rho=args.rho, pi=args.pi,
+                          transport=args.transport,
+                          sample_interval=args.sample_interval,
+                          seed=args.seed,
+                          serve_base_port=(args.serve_base_port if args.serve
+                                           else None),
+                          telemetry=(args.telemetry
+                                     or args.metrics_port is not None
+                                     or args.trace_out is not None),
+                          metrics_port=args.metrics_port,
+                          node_index=args.node_index,
+                          base_port=(None if args.node_index is None
+                                     else args.base_port),
+                          epoch=args.epoch)
+    except ReproError as exc:
+        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
+        return 2
     print(f"live transport={report.transport} nodes={args.nodes} "
           f"f={args.f} duration={report.duration}s seed={args.seed}")
     if report.metrics_port is not None:
@@ -650,14 +648,15 @@ def cmd_live(args: argparse.Namespace) -> int:
         print(f"telemetry: wall-clock Theorem 5 probe violations: "
               f"{report.probe_violations}")
     if args.trace_out is not None:
-        from repro.obs import event_to_json
-        with open(args.trace_out, "w") as handle:
-            for event in captured:
-                handle.write(event_to_json(event) + "\n")
-        print(f"{len(captured)} live events written to {args.trace_out} "
-              f"(summarize with `repro trace`)")
+        from repro.obs.bus import events_to_jsonl
+
+        pathlib.Path(args.trace_out).write_text(events_to_jsonl(report.events))
+        print(f"{len(report.events)} live events written to "
+              f"{args.trace_out} (summarize with `repro trace`)")
     if args.json_out is not None:
-        _write_json(report.to_dict(), args.json_out)
+        _write_json(args.json_out, report.to_dict())
+        if args.json_out != "-":
+            print(f"JSON written to {args.json_out}")
     return 0 if bounded else 1
 
 
@@ -675,101 +674,116 @@ def _transport_cells(counters: dict[str, int]) -> list:
     return [counters.get(name, "-") for name, _ in TRANSPORT_COUNTERS]
 
 
-def _write_json(payload, destination: str) -> None:
-    """Write a JSON document to a file, or stdout for ``"-"``."""
-    text = json.dumps(payload, indent=2, sort_keys=True)
-    if destination == "-":
-        print(text)
-    else:
-        with open(destination, "w") as handle:
-            handle.write(text + "\n")
-        print(f"JSON written to {destination}")
-
-
 def _cmd_live_processes(args: argparse.Namespace) -> int:
-    """Parent side of --processes: spawn one child per node, aggregate."""
+    """Parent side of --processes: spawn one ``repro live --node-index``
+    run per node, each tracing to its own file; bucket the traces."""
     import subprocess
+    import tempfile
     import time
 
+    from repro.errors import ConfigurationError
+    from repro.obs.bus import read_events_jsonl
+    from repro.obs.live import spread_bounded
     from repro.rt.live import aggregate_process_samples, default_live_params
 
+    unsupported = [flag for flag, given in (
+        ("--json", args.json_out is not None),
+        ("--trace", args.trace_out is not None),
+        ("--serve", args.serve), ("--telemetry", args.telemetry),
+        ("--metrics-port", args.metrics_port is not None),
+        ("--transport loopback", args.transport == "loopback")) if given]
+    if unsupported:
+        raise ConfigurationError(
+            f"--processes does not support {', '.join(unsupported)}")
     params = default_live_params(n=args.nodes, f=args.f, delta=args.delta,
                                  rho=args.rho, pi=args.pi)
     epoch = time.monotonic() + 1.0  # give every child time to bind first
-    children = []
-    for node in range(args.nodes):
-        command = [sys.executable, "-m", "repro", "live",
-                   "--node-index", str(node), "--nodes", str(args.nodes),
-                   "--f", str(args.f), "--duration", str(args.duration),
-                   "--delta", str(args.delta), "--rho", str(args.rho),
-                   "--pi", str(args.pi), "--base-port", str(args.base_port),
-                   "--epoch", repr(epoch), "--seed", str(args.seed),
-                   "--sample-interval", str(args.sample_interval)]
-        children.append(subprocess.Popen(command, stdout=subprocess.PIPE,
-                                         text=True))
-    samples, summaries = [], []
-    failed = False
-    timeout = args.duration + 30.0
-    for node, child in enumerate(children):
-        try:
-            stdout, _ = child.communicate(timeout=timeout)
-        except subprocess.TimeoutExpired:
-            for other in children:
-                if other.poll() is None:
-                    other.kill()
-                    other.wait()
-            print(f"live: node {node} did not finish within {timeout:g}s; "
-                  f"killed every running child", file=sys.stderr)
-            return 1
-        failed = failed or child.returncode != 0
-        for line in stdout.splitlines():
-            record = json.loads(line)
-            (summaries if "summary" in record else samples).append(record)
+    with tempfile.TemporaryDirectory() as scratch:
+        traces = [pathlib.Path(scratch) / f"node{node}.jsonl"
+                  for node in range(args.nodes)]
+        children = [subprocess.Popen(
+            [sys.executable, "-m", "repro", "live",
+             "--node-index", str(node), "--nodes", str(args.nodes),
+             "--f", str(args.f), "--duration", str(args.duration),
+             "--delta", str(args.delta), "--rho", str(args.rho),
+             "--pi", str(args.pi), "--base-port", str(args.base_port),
+             "--epoch", repr(epoch), "--seed", str(args.seed),
+             "--sample-interval", str(args.sample_interval),
+             "--trace", str(trace)], stdout=subprocess.DEVNULL)
+            for node, trace in enumerate(traces)]
+        failed = False
+        timeout = args.duration + 30.0
+        for node, child in enumerate(children):
+            try:
+                child.communicate(timeout=timeout)
+            except subprocess.TimeoutExpired:
+                for other in children:
+                    if other.poll() is None:
+                        other.kill()
+                        other.wait()
+                print(f"live: node {node} did not finish within "
+                      f"{timeout:g}s; killed every running child",
+                      file=sys.stderr)
+                return 1
+            failed = failed or child.returncode != 0
+        streams = [read_events_jsonl(trace) if trace.exists() else []
+                   for trace in traces]
+    samples, rows = [], []
+    for node, events in enumerate(streams):
+        deviations = [event for event in events
+                      if event.kind == "live.deviation"]
+        samples += [{"node": event.node, "tau": event.time,
+                     "clock": event.data["clock"]} for event in deviations]
+        delivered = [event.data["snapshot"]["counters"]
+                     ["transport_delivered"][str(node)]
+                     for event in events if event.kind == "metrics.snapshot"]
+        rows.append([f"node {node}",
+                     sum(event.kind == "live.sync" for event in events),
+                     len(deviations),
+                     int(delivered[-1]) if delivered else "-"])
     series = aggregate_process_samples(samples, args.nodes,
                                        args.sample_interval)
     bound = params.bounds().max_deviation
     print(f"live transport=udp processes={args.nodes} f={args.f} "
           f"duration={args.duration}s base_port={args.base_port}")
-    rows = [[f"node {s['summary']['node']}", s["summary"]["rounds"],
-             s["summary"]["samples"], s["summary"]["messages"]]
-            for s in sorted(summaries, key=lambda s: s["summary"]["node"])]
     print(table(["process", "syncs", "samples", "messages"], rows,
                 title="per-process summary"))
+    bounded = not failed and spread_bounded(series, bound)
     if series:
-        max_spread = max(spread for _, spread in series)
-        bounded = not failed and max_spread <= bound
         print(f"\ncluster spread over {len(series)} aligned buckets: "
-              f"max {max_spread:.6f} final {series[-1][1]:.6f} "
+              f"max {max(s for _, s in series):.6f} final {series[-1][1]:.6f} "
               f"bound {bound:.6f} {check_mark(bounded)}")
-        return 0 if bounded else 1
-    print("\nno aligned sample buckets (children overlapped too little)")
-    return 1
+    else:
+        print("\nno aligned sample buckets (children overlapped too little)")
+    return 0 if bounded else 1
 
 
 def cmd_query(args: argparse.Namespace) -> int:
-    """Issue client time queries against a `live --serve` node."""
+    """Issue client time queries against a `live --serve` node, or with
+    ``--stats`` / ``--health`` fetch its introspection document."""
     import asyncio
     from statistics import median
     from time import perf_counter
 
     from repro.service.query import OP_EPOCH, OP_NOW, OP_VALIDATE, QueryError, TimeQueryClient
 
-    if args.stats or args.health:
-        return _cmd_query_admin(args)
+    admin = args.stats or args.health
 
-    async def drive() -> tuple[int, int, list[float]]:
+    async def drive():
         client = TimeQueryClient(host=args.host, port=args.port,
                                  timeout=args.timeout)
         await client.connect()
-        succeeded = failed = 0
-        latencies: list[float] = []
         try:
+            if admin:
+                return await (client.stats() if args.stats
+                              else client.health())
+            succeeded = failed = 0
+            latencies: list[float] = []
             # Seed validate queries with a real server timestamp.
             reply, _ = await client.request(OP_NOW)
-            anchor_value, anchor_node = reply.value, reply.node
             fields = {OP_NOW: {},
-                      OP_VALIDATE: {"ts_value": anchor_value,
-                                    "ts_issuer": anchor_node,
+                      OP_VALIDATE: {"ts_value": reply.value,
+                                    "ts_issuer": reply.node,
                                     "max_age": args.max_age},
                       OP_EPOCH: {"epoch_length": args.epoch_length}}
             ops = [args.op] if args.op != "mixed" else list(fields)
@@ -784,15 +798,22 @@ def cmd_query(args: argparse.Namespace) -> int:
                     failed += 1
                     print(f"query {index} ({op}) failed: {exc}",
                           file=sys.stderr)
+            return succeeded, failed, latencies
         finally:
             client.close()
-        return succeeded, failed, latencies
 
     try:
-        succeeded, failed, latencies = asyncio.run(drive())
+        result = asyncio.run(drive())
     except QueryError as exc:
-        print(f"query failed: {exc}", file=sys.stderr)
+        print(f"{'admin query' if admin else 'query'} failed: {exc}",
+              file=sys.stderr)
         return 1
+    if admin:
+        _write_json(args.json_out or "-", result)
+        if args.json_out not in (None, "-"):
+            print(f"JSON written to {args.json_out}")
+        return 0 if result.get("health", result).get("bounded") else 1
+    succeeded, failed, latencies = result
     if latencies:
         ordered = sorted(latencies)
         p50 = median(ordered)
@@ -801,39 +822,12 @@ def cmd_query(args: argparse.Namespace) -> int:
               f"{args.host}:{args.port}")
         print(f"latency: p50 {p50 * 1e3:.2f} ms, p99 {p99 * 1e3:.2f} ms")
         if args.json_out is not None:
-            _write_json({"host": args.host, "port": args.port,
-                         "succeeded": succeeded, "failed": failed,
-                         "p50_s": p50, "p99_s": p99}, args.json_out)
+            _write_json(args.json_out, {
+                "host": args.host, "port": args.port, "succeeded": succeeded,
+                "failed": failed, "p50_s": p50, "p99_s": p99})
+            if args.json_out != "-":
+                print(f"JSON written to {args.json_out}")
     return 0 if failed == 0 and succeeded == args.count else 1
-
-
-def _cmd_query_admin(args: argparse.Namespace) -> int:
-    """`repro query --stats/--health`: fetch introspection documents."""
-    import asyncio
-
-    from repro.service.query import QueryError, TimeQueryClient
-
-    async def fetch() -> dict:
-        client = TimeQueryClient(host=args.host, port=args.port,
-                                 timeout=args.timeout)
-        await client.connect()
-        try:
-            return (await client.stats() if args.stats
-                    else await client.health())
-        finally:
-            client.close()
-
-    try:
-        document = asyncio.run(fetch())
-    except QueryError as exc:
-        print(f"admin query failed: {exc}", file=sys.stderr)
-        return 1
-    if args.json_out is not None:
-        _write_json(document, args.json_out)
-    else:
-        print(json.dumps(document, indent=2, sort_keys=True))
-    health = document.get("health", document)
-    return 0 if health.get("bounded") else 1
 
 
 def cmd_stats(args: argparse.Namespace) -> int:
@@ -913,7 +907,9 @@ def cmd_stats(args: argparse.Namespace) -> int:
         else:
             print(f"\nall required metric families present")
     if args.json_out is not None:
-        _write_json(stats, args.json_out)
+        _write_json(args.json_out, stats)
+        if args.json_out != "-":
+            print(f"JSON written to {args.json_out}")
     return 0 if bounded and not missing else 1
 
 

@@ -56,6 +56,17 @@ QUERY_COUNTERS = (
 QUERY_LATENCY_METRIC = "query_latency_seconds"
 
 
+def spread_bounded(spread: list[tuple[float, float]], bound: float) -> bool:
+    """The live verdict: at least one ``(tau, spread)`` sample, and every
+    spread within the Theorem 5(i) deviation ``bound``.
+
+    The one rule behind ``LiveReport.bounded()``, the ``health``
+    document and the ``repro live --processes`` parent.  No per-node
+    check is needed: each sample reads every clock the cluster hosts.
+    """
+    return bool(spread) and all(s <= bound for _, s in spread)
+
+
 def _transport_counters(transports: dict[int, Any]
                         ) -> dict[int | None, dict[str, int]]:
     """The bare-int counters of each distinct transport, by owner.
@@ -218,10 +229,8 @@ class ClusterIntrospection:
     def health(self) -> dict[str, Any]:
         """The operator's one-look document: is Theorem 5 holding?
 
-        ``bounded`` is true iff the sampler has produced spread samples
-        and every one stayed under the Theorem 5(i) deviation bound —
-        the same criterion as ``LiveReport.bounded()``, answered while
-        the cluster runs.
+        ``bounded`` is :func:`spread_bounded` over the spread samples
+        so far, answered while the cluster runs.
         """
         cluster = self.cluster
         bound = cluster.params.bounds().max_deviation
@@ -235,7 +244,7 @@ class ClusterIntrospection:
             "samples": len(spreads),
             "spread": spreads[-1] if spreads else None,
             "max_spread": max(spreads) if spreads else None,
-            "bounded": bool(spreads) and all(s <= bound for s in spreads),
+            "bounded": spread_bounded(cluster.spread, bound),
             "rounds": {str(node): proc.rounds_completed
                        for node, proc in cluster.processes.items()},
             "telemetry": telemetry is not None,

@@ -17,6 +17,9 @@ the standard :class:`~repro.obs.bus.EventBus`:
 The same wiring runs on a :class:`~repro.sim.engine.Simulator` via
 :func:`build_cluster` + ``sim.run(until=...)`` — that path is what the
 rt tests and ``tools/check_determinism.py`` drive deterministically.
+It also runs one node of a cluster per OS process (``repro live
+--processes``): each process hosts its node on a fixed UDP port and
+starts at a shared epoch.
 
 :func:`run_live` finishes by fronting each node with a
 :class:`~repro.service.timeservice.SecureTimeService`, so the service
@@ -30,7 +33,7 @@ import asyncio
 import math
 import random
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, Iterable
 
 from repro.clocks.hardware import FixedRateClock
 from repro.clocks.logical import LogicalClock
@@ -43,6 +46,7 @@ from repro.rt.transport import LoopbackTransport, Transport, UdpTransport
 from repro.service.timeservice import SecureTimeService
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.obs.bus import ObsEvent
     from repro.obs.live import ClusterIntrospection, LiveTelemetry
     from repro.obs.recorder import ObsConfig
     from repro.service.query import TimeQueryServer
@@ -55,8 +59,7 @@ def default_live_params(n: int = 4, f: int = 1, delta: float = 0.02,
     return ProtocolParams.derive(n=n, f=f, delta=delta, rho=rho, pi=pi)
 
 
-def make_live_clocks(params: ProtocolParams, seed: int,
-                     offset_spread: float | None = None
+def make_live_clocks(params: ProtocolParams, seed: int
                      ) -> dict[int, LogicalClock]:
     """Deterministic per-node clock models over the wall clock.
 
@@ -64,15 +67,11 @@ def make_live_clocks(params: ProtocolParams, seed: int,
     a seed-derived rate inside the drift bound and a seed-derived
     initial offset, so a live cluster starts visibly disagreeing and
     must *converge* — the demo is Sync doing real work, not clocks that
-    agree by construction.
-
-    Args:
-        offset_spread: Width of the uniform initial-offset range;
-            defaults to half the Theorem 5 deviation bound.
+    agree by construction.  Offsets are uniform over half the Theorem 5
+    deviation bound.
     """
     rng = random.Random(seed)
-    if offset_spread is None:
-        offset_spread = 0.5 * params.bounds().max_deviation
+    offset_spread = 0.5 * params.bounds().max_deviation
     clocks = {}
     for node in range(params.n):
         rate = 1.0 + rng.uniform(-0.5, 0.5) * params.rho
@@ -153,20 +152,18 @@ class LiveCluster:
             self.telemetry.on_sample(tau, spread=spread)
         return spread
 
-    def start_sampler(self, interval: float) -> None:
-        """Arm the periodic telemetry sampler on the loop."""
+    def start(self, sample_interval: float = 0.1) -> None:
+        """Start every process and the periodic telemetry sampler."""
+        for process in self.processes.values():
+            process.start()
 
         def tick() -> None:
             self.sample_once()
-            self._sampler = self.loop.call_at(self.loop.time() + interval, tick)
+            self._sampler = self.loop.call_at(
+                self.loop.time() + sample_interval, tick)
 
-        self._sampler = self.loop.call_at(self.loop.time() + interval, tick)
-
-    def start(self, sample_interval: float = 0.1) -> None:
-        """Start every process and the telemetry sampler."""
-        for process in self.processes.values():
-            process.start()
-        self.start_sampler(sample_interval)
+        self._sampler = self.loop.call_at(self.loop.time() + sample_interval,
+                                          tick)
 
     def stop(self) -> None:
         """Cancel timers, close sockets, finalize telemetry (idempotent)."""
@@ -243,9 +240,8 @@ class LiveCluster:
 def build_cluster(params: ProtocolParams, loop: Any, seed: int = 0,
                   transport: str = "loopback", bus: EventBus | None = None,
                   epoch: float | None = None,
-                  loopback_delay: float | None = None,
-                  stagger: bool = True,
-                  telemetry: "bool | ObsConfig" = False) -> LiveCluster:
+                  telemetry: "bool | ObsConfig" = False,
+                  hosted: Iterable[int] | None = None) -> LiveCluster:
     """Wire clocks, runtimes, transports, and Sync processes.
 
     With ``transport="loopback"`` the cluster is complete on return.
@@ -253,12 +249,12 @@ def build_cluster(params: ProtocolParams, loop: Any, seed: int = 0,
     ``await transport.start()`` + ``set_peers`` —
     :func:`run_live` does that; tests use loopback.
 
+    The loopback delay is ``params.delta / 2`` (the simulator's
+    ``FixedDelay`` default, keeping conformance runs aligned), and node
+    ``i`` starts at phase ``i * sync_interval / n`` so first Syncs don't
+    collide.
+
     Args:
-        loopback_delay: One-way loopback delay; defaults to
-            ``params.delta / 2`` (the simulator's ``FixedDelay``
-            default, keeping conformance runs aligned).
-        stagger: Give node ``i`` a start phase of
-            ``i * sync_interval / n`` so first Syncs don't collide.
         telemetry: ``False`` (default) leaves the cluster
             uninstrumented — processes never publish protocol events
             and no registry or probe exists, the zero-overhead
@@ -267,6 +263,8 @@ def build_cluster(params: ProtocolParams, loop: Any, seed: int = 0,
             :class:`~repro.obs.recorder.ObsConfig` (spans + metrics +
             wall-clock Theorem 5 probe); pass an ``ObsConfig`` to
             select subsystems.
+        hosted: The nodes this loop runs (default: all ``params.n``);
+            the others are peers reached over the transport.
     """
     if transport not in ("loopback", "udp"):
         raise ConfigurationError(f"unknown transport {transport!r}")
@@ -277,26 +275,29 @@ def build_cluster(params: ProtocolParams, loop: Any, seed: int = 0,
         return loop.time() - epoch
 
     bus.set_clock(now)
-    clocks = make_live_clocks(params, seed)
+    nodes = range(params.n) if hosted is None else sorted(hosted)
+    if transport == "loopback" and len(nodes) < params.n:
+        raise ConfigurationError("a loopback hub reaches only the nodes "
+                                 "this loop hosts; host a subset over udp")
+    all_clocks = make_live_clocks(params, seed)
+    clocks = {node: all_clocks[node] for node in nodes}
 
     transports: dict[int, Transport] = {}
     if transport == "loopback":
-        delay = (params.delta / 2.0 if loopback_delay is None
-                 else float(loopback_delay))
-        hub = LoopbackTransport(loop, delay=delay, now=now)
-        for node in range(params.n):
+        hub = LoopbackTransport(loop, delay=params.delta / 2.0, now=now)
+        for node in nodes:
             transports[node] = hub
     else:
-        for node in range(params.n):
+        for node in nodes:
             transports[node] = UdpTransport(node, now)
 
     runtimes: dict[int, AsyncioRuntime] = {}
     processes: dict[int, SyncProcess] = {}
-    for node in range(params.n):
+    for node in nodes:
         runtime = AsyncioRuntime(node, clocks[node], transports[node], loop,
                                  epoch=epoch, obs=bus)
-        phase = (node * params.sync_interval / params.n) if stagger else 0.0
-        process = SyncProcess(runtime, params, start_phase=phase)
+        process = SyncProcess(runtime, params,
+                              start_phase=node * params.sync_interval / params.n)
         runtime.bind(process)
         process.sync_listeners.append(
             lambda record: bus.publish("live.sync", node=record.node_id,
@@ -349,6 +350,8 @@ class LiveReport:
             metrics).
         metrics_snapshot: Final registry snapshot (``None`` when
             telemetry was off).
+        events: Every obs event the telemetry plane recorded, in order
+            (empty when telemetry was off) — the ``--trace`` stream.
     """
 
     params: ProtocolParams
@@ -370,15 +373,14 @@ class LiveReport:
     probe_violations: int | None = None
     metrics_port: int | None = None
     metrics_snapshot: dict | None = None
+    events: list["ObsEvent"] = field(default_factory=list)
 
     def bounded(self) -> bool:
-        """Every node produced samples and every spread is under the
-        Theorem 5 bound (the live acceptance criterion)."""
-        if len(self.series) < self.params.n:
-            return False
-        if not all(self.series.get(node) for node in range(self.params.n)):
-            return False
-        return all(spread <= self.bound for _, spread in self.spread)
+        """The live acceptance criterion,
+        :func:`repro.obs.live.spread_bounded` over the spread series."""
+        from repro.obs.live import spread_bounded
+
+        return spread_bounded(self.spread, self.bound)
 
     def max_spread(self) -> float:
         """Largest observed cluster spread."""
@@ -427,161 +429,107 @@ class LiveReport:
         }
 
 
-async def _run_cluster_async(params: ProtocolParams, duration: float,
-                             seed: int, transport: str,
-                             sample_interval: float,
-                             bus: EventBus | None,
-                             serve_base_port: int | None = None,
-                             telemetry: "bool | ObsConfig" = False,
-                             metrics_port: int | None = None
-                             ) -> LiveReport:
-    loop = asyncio.get_running_loop()
-    cluster = build_cluster(params, loop, seed=seed, transport=transport,
-                            bus=bus, telemetry=telemetry)
-    metrics_address: tuple[str, int] | None = None
-    try:
-        if transport == "udp":
-            addresses: dict[int, tuple[str, int]] = {}
-            for node, udp in cluster.transports.items():
-                addresses[node] = await udp.start()
-            for udp in cluster.transports.values():
-                udp.set_peers(addresses)
-        if serve_base_port is not None:
-            for node in cluster.processes:
-                port = 0 if serve_base_port == 0 else serve_base_port + node
-                await cluster.serve_queries(node, port=port)
-        if metrics_port is not None:
-            metrics_address = await cluster.serve_metrics(port=metrics_port)
-        cluster.start(sample_interval=sample_interval)
-        await asyncio.sleep(duration)
-        cluster.sample_once()  # guarantee a final post-convergence sample
-        services = {node: cluster.time_service(node).now()
-                    for node in cluster.processes}
-        transport_counters = cluster.introspection().transport_counters()
-    finally:
-        cluster.stop()
-    live_telemetry = cluster.telemetry
-    return LiveReport(
-        params=params,
-        transport=transport,
-        duration=duration,
-        series=cluster.series,
-        spread=cluster.spread,
-        rounds={node: proc.rounds_completed
-                for node, proc in cluster.processes.items()},
-        corrections={node: [r.correction for r in proc.sync_records]
-                     for node, proc in cluster.processes.items()},
-        bound=params.bounds().max_deviation,
-        events_published=cluster.bus.events_published,
-        service_readings=services,
-        query_ports={node: server.address[1]
-                     for node, server in cluster.query_servers.items()},
-        queries_answered={node: server.queries_answered
-                          for node, server in cluster.query_servers.items()},
-        queries_failed={node: server.queries_failed
-                        for node, server in cluster.query_servers.items()},
-        queries_malformed={node: server.malformed_dropped
-                           for node, server in cluster.query_servers.items()},
-        transport_counters=transport_counters,
-        telemetry=live_telemetry is not None,
-        probe_violations=(len(live_telemetry.violations)
-                          if live_telemetry is not None else None),
-        metrics_port=metrics_address[1] if metrics_address else None,
-        metrics_snapshot=(live_telemetry.metrics.snapshot()
-                          if live_telemetry is not None
-                          and live_telemetry.collector is not None else None),
-    )
-
-
 def run_live(nodes: int = 4, f: int = 1, duration: float = 2.0,
              delta: float = 0.02, rho: float = 1e-4, pi: float = 2.0,
              transport: str = "udp", sample_interval: float = 0.1,
-             seed: int = 0, bus: EventBus | None = None,
-             serve_base_port: int | None = None,
+             seed: int = 0, serve_base_port: int | None = None,
              telemetry: "bool | ObsConfig" = False,
-             metrics_port: int | None = None) -> LiveReport:
+             metrics_port: int | None = None,
+             node_index: int | None = None,
+             base_port: int | None = None,
+             epoch: float | None = None) -> LiveReport:
     """Deploy a live Sync cluster and run it for ``duration`` seconds.
 
     Blocking entry point (wraps ``asyncio.run``): spawns ``nodes``
     asyncio runtimes on localhost — real UDP sockets by default — runs
     the paper's Sync protocol on wall-clock timers, and returns the
-    telemetry report.  Pass ``bus`` to additionally receive every
-    ``live.*`` event (e.g. for JSONL capture).  With ``serve_base_port``
+    telemetry report.  With ``serve_base_port``
     each node additionally answers client time queries on UDP port
     ``serve_base_port + node`` (see :mod:`repro.service.query`).
     ``telemetry`` attaches the live telemetry plane (see
-    :func:`build_cluster`); ``metrics_port`` (0 = ephemeral)
+    :func:`build_cluster`); its events come back as
+    :attr:`LiveReport.events`.  ``metrics_port`` (0 = ephemeral)
     additionally serves the Prometheus/health/stats admin endpoint
     while the cluster runs.
+
+    ``node_index`` hosts only that node of the ``nodes``-node cluster
+    (one process of ``repro live --processes``).  ``base_port`` binds
+    node ``i``'s Sync socket to ``base_port + i`` and expects every
+    peer ``j`` at ``base_port + j`` (default: ephemeral ports).
+    ``epoch`` is the loop time (``time.monotonic()``) of ``tau = 0``,
+    at which the cluster starts (default: now).
     """
     params = default_live_params(n=nodes, f=f, delta=delta, rho=rho, pi=pi)
-    return asyncio.run(_run_cluster_async(params, duration, seed, transport,
-                                          sample_interval, bus,
-                                          serve_base_port=serve_base_port,
-                                          telemetry=telemetry,
-                                          metrics_port=metrics_port))
 
+    async def run() -> LiveReport:
+        loop = asyncio.get_running_loop()
+        cluster = build_cluster(params, loop, seed=seed, transport=transport,
+                                epoch=epoch, telemetry=telemetry,
+                                hosted=None if node_index is None
+                                else (node_index,))
+        metrics_address: tuple[str, int] | None = None
+        try:
+            if transport == "udp":
+                addresses: dict[int, tuple[str, int]] = (
+                    {} if base_port is None else
+                    {node: ("127.0.0.1", base_port + node)
+                     for node in range(params.n)})
+                for node, udp in cluster.transports.items():
+                    addresses[node] = await udp.start(
+                        port=0 if base_port is None else base_port + node)
+                for udp in cluster.transports.values():
+                    udp.set_peers(addresses)
+            if serve_base_port is not None:
+                for node in cluster.processes:
+                    await cluster.serve_queries(node, port=(
+                        0 if serve_base_port == 0 else serve_base_port + node))
+            if metrics_port is not None:
+                metrics_address = await cluster.serve_metrics(
+                    port=metrics_port)
+            # Processes of one cluster share the epoch (CLOCK_MONOTONIC
+            # is system-wide, so tau is comparable across them).
+            await asyncio.sleep(max(0.0, cluster.epoch - loop.time()))
+            cluster.start(sample_interval=sample_interval)
+            await asyncio.sleep(duration)
+            cluster.sample_once()  # a final post-convergence sample
+            services = {node: cluster.time_service(node).now()
+                        for node in cluster.processes}
+            transport_counters = cluster.introspection().transport_counters()
+        finally:
+            cluster.stop()
+        plane, servers = cluster.telemetry, cluster.query_servers
+        return LiveReport(
+            params=params,
+            transport=transport,
+            duration=duration,
+            series=cluster.series,
+            spread=cluster.spread,
+            rounds={node: proc.rounds_completed
+                    for node, proc in cluster.processes.items()},
+            corrections={node: [r.correction for r in proc.sync_records]
+                         for node, proc in cluster.processes.items()},
+            bound=params.bounds().max_deviation,
+            events_published=cluster.bus.events_published,
+            service_readings=services,
+            query_ports={node: server.address[1]
+                         for node, server in servers.items()},
+            queries_answered={node: server.queries_answered
+                              for node, server in servers.items()},
+            queries_failed={node: server.queries_failed
+                            for node, server in servers.items()},
+            queries_malformed={node: server.malformed_dropped
+                               for node, server in servers.items()},
+            transport_counters=transport_counters,
+            telemetry=plane is not None,
+            probe_violations=(len(plane.violations)
+                              if plane is not None else None),
+            metrics_port=metrics_address[1] if metrics_address else None,
+            metrics_snapshot=(plane.metrics.snapshot() if plane is not None
+                              and plane.collector is not None else None),
+            events=plane.events if plane is not None else [],
+        )
 
-# ---------------------------------------------------------------------------
-# Multi-process deployment (``repro live --processes``)
-# ---------------------------------------------------------------------------
-
-async def _run_single_node_async(node_index: int, params: ProtocolParams,
-                                 duration: float, seed: int, base_port: int,
-                                 epoch: float, sample_interval: float,
-                                 emit) -> dict:
-    loop = asyncio.get_running_loop()
-    clock = make_live_clocks(params, seed)[node_index]
-
-    def now() -> float:
-        return loop.time() - epoch
-
-    transport = UdpTransport(node_index, now)
-    await transport.start(port=base_port + node_index)
-    transport.set_peers({node: ("127.0.0.1", base_port + node)
-                         for node in range(params.n)})
-    runtime = AsyncioRuntime(node_index, clock, transport, loop, epoch=epoch)
-    phase = node_index * params.sync_interval / params.n
-    process = SyncProcess(runtime, params, start_phase=phase)
-    runtime.bind(process)
-
-    # All processes rebase tau to the same monotonic epoch (Linux's
-    # CLOCK_MONOTONIC is system-wide, so tau is comparable across
-    # processes on one host); wait for it before starting.
-    await asyncio.sleep(max(0.0, epoch - loop.time()))
-    process.start()
-    samples = 0
-    try:
-        deadline = loop.time() + duration
-        while loop.time() < deadline:
-            await asyncio.sleep(min(sample_interval, deadline - loop.time()))
-            tau = now()
-            emit({"node": node_index, "tau": tau, "clock": clock.read(tau)})
-            samples += 1
-    finally:
-        process.cancel_all_timers()
-        transport.close()
-    return {"node": node_index, "rounds": process.rounds_completed,
-            "samples": samples,
-            "messages": transport.messages_delivered}
-
-
-def run_single_node(node_index: int, nodes: int, f: int, duration: float,
-                    delta: float = 0.02, rho: float = 1e-4, pi: float = 2.0,
-                    base_port: int = 19200, epoch: float = 0.0,
-                    sample_interval: float = 0.1, seed: int = 0,
-                    emit=None) -> dict:
-    """Run ONE node of a multi-process cluster (the child entry point).
-
-    ``emit`` receives one dict per sample (``node``, ``tau``, ``clock``);
-    the CLI child prints them as JSON lines for the parent to aggregate.
-    Returns a summary dict.
-    """
-    params = default_live_params(n=nodes, f=f, delta=delta, rho=rho, pi=pi)
-    emit = emit if emit is not None else (lambda record: None)
-    return asyncio.run(_run_single_node_async(
-        node_index, params, duration, seed, base_port, epoch,
-        sample_interval, emit))
+    return asyncio.run(run())
 
 
 def aggregate_process_samples(samples: list[dict], nodes: int,

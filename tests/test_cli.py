@@ -309,6 +309,136 @@ def test_live_processes_timeout_kills_and_reaps_every_child(monkeypatch,
     assert "node 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags, named", [
+    (["--json", "{tmp}/live.json"], "--json"),
+    (["--trace", "{tmp}/live.jsonl"], "--trace"),
+    (["--serve"], "--serve"),
+    (["--telemetry"], "--telemetry"),
+    (["--metrics-port", "0"], "--metrics-port"),
+    (["--transport", "loopback"], "--transport loopback"),
+])
+def test_live_processes_refuses_flags_it_does_not_forward(
+        monkeypatch, tmp_path, capsys, flags, named):
+    """`--processes` names a flag its children would not honour and
+    exits 2 before spawning anything, rather than dropping it."""
+    import subprocess
+
+    def no_spawn(*args, **kwargs):
+        raise AssertionError("no child may be spawned")
+
+    monkeypatch.setattr(subprocess, "Popen", no_spawn)
+    argv = ["live", "--processes", "--nodes", "4", "--duration", "0.1",
+            *(flag.format(tmp=tmp_path) for flag in flags)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("ConfigurationError: ")
+    assert named in captured.err
+    assert captured.err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
+def _fake_live_children(monkeypatch, failing=()):
+    """Replace ``Popen`` with children that write a canned ``--trace``
+    stream: node ``i`` samples at tau 0.05, 0.15, ..., 0.45 reading
+    ``tau + 0.001 i``, completes 3 Syncs and delivers ``10 + i``
+    datagrams; a node in ``failing`` exits 1."""
+    import subprocess
+
+    from repro.obs.bus import ObsEvent, events_to_jsonl
+
+    commands = []
+
+    class FakePopen:
+        def __init__(self, command, **kwargs):
+            commands.append(command)
+            node = int(command[command.index("--node-index") + 1])
+            self.returncode = 1 if node in failing else 0
+            events = []
+            for step in range(5):
+                tau = 0.05 + 0.1 * step
+                events.append(ObsEvent(len(events), tau, "live.deviation",
+                                       node, {"clock": tau + 0.001 * node,
+                                              "deviation": 0.0}))
+            for round_no in range(3):
+                events.append(ObsEvent(len(events), 0.1 * round_no,
+                                       "live.sync", node,
+                                       {"round_no": round_no}))
+            events.append(ObsEvent(len(events), 0.5, "metrics.snapshot",
+                                   None, {"snapshot": {"counters": {
+                                       "transport_delivered": {
+                                           str(node): 10.0 + node}}}}))
+            trace = command[command.index("--trace") + 1]
+            with open(trace, "w") as handle:
+                handle.write(events_to_jsonl(events))
+
+        def communicate(self, timeout=None):
+            return None, None
+
+        def poll(self):
+            return self.returncode
+
+    monkeypatch.setattr(subprocess, "Popen", FakePopen)
+    return commands
+
+
+def test_live_processes_buckets_the_children_traces(monkeypatch, capsys):
+    """Each child is an ordinary `repro live` run tracing to its own
+    file; the parent buckets their `live.deviation` events."""
+    commands = _fake_live_children(monkeypatch)
+    code = main(["live", "--processes", "--nodes", "4", "--duration", "0.5"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert [command[command.index("--node-index") + 1]
+            for command in commands] == ["0", "1", "2", "3"]
+    assert len({command[command.index("--trace") + 1]
+                for command in commands}) == 4
+    for node in range(4):
+        assert f"node {node}      3        5        {10 + node}" in out
+    assert ("cluster spread over 5 aligned buckets: max 0.003000 "
+            "final 0.003000 bound 0.320653 OK") in out
+
+
+def test_live_processes_fails_when_a_child_fails(monkeypatch, capsys):
+    _fake_live_children(monkeypatch, failing=(2,))
+    code = main(["live", "--processes", "--nodes", "4", "--duration", "0.5"])
+    assert code == 1
+    assert "aligned buckets" in capsys.readouterr().out
+
+
+def test_live_child_hosts_only_its_node(tmp_path, capsys):
+    """A `--node-index` run is the ordinary live run with one node
+    hosted: its trace samples that node only, each event seq once."""
+    import socket
+
+    from repro.obs.bus import read_events_jsonl
+
+    with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as probe:
+        probe.bind(("127.0.0.1", 0))
+        base_port = probe.getsockname()[1]
+    trace = tmp_path / "node0.jsonl"
+    code = main(["live", "--node-index", "0", "--nodes", "4",
+                 "--duration", "0.3", "--base-port", str(base_port),
+                 "--trace", str(trace)])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert "live events written to" in out
+    events = read_events_jsonl(trace)
+    assert [event.seq for event in events] == list(range(len(events)))
+    deviations = [event for event in events if event.kind == "live.deviation"]
+    assert deviations
+    assert {event.node for event in deviations} == {0}
+
+
+def test_live_child_over_loopback_is_one_error_line(capsys):
+    """One hosted node on a loopback hub would Sync with no peer."""
+    assert main(["live", "--node-index", "0", "--transport", "loopback",
+                 "--duration", "0.1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("ConfigurationError: a loopback hub")
+    assert err.count("\n") == 1
+
+
 def test_query_health_unreachable_is_clean_failure(capsys):
     code = main(["query", "--health", "--port", "1", "--timeout", "0.05"])
     assert code == 1

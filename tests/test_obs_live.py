@@ -14,6 +14,7 @@ from repro.obs.live import (
     ClusterIntrospection,
     LiveTelemetry,
     merged_latency,
+    spread_bounded,
 )
 from repro.rt.live import build_cluster, default_live_params
 from repro.sim.engine import Simulator
@@ -173,6 +174,23 @@ class TestIntrospection:
         doc = cluster.introspection().health()
         assert doc["samples"] == 0
         assert doc["bounded"] is False
+
+    def test_one_rule_decides_bounded(self):
+        """`health()` and `LiveReport.bounded()` both are
+        `spread_bounded`: >= 1 sample, every spread within the bound."""
+        from repro.rt.live import LiveReport
+
+        assert spread_bounded([], 1.0) is False
+        assert spread_bounded([(0.0, 0.5), (0.1, 1.0)], 1.0) is True
+        assert spread_bounded([(0.0, 0.5), (0.1, 1.5)], 1.0) is False
+        params, cluster = telemetry_run(duration=1.0)
+        report = LiveReport(params=params, transport="loopback",
+                            duration=1.0, series={}, spread=cluster.spread,
+                            rounds={}, corrections={},
+                            bound=params.bounds().max_deviation,
+                            events_published=0, service_readings={})
+        assert report.bounded() is cluster.introspection().health()[
+            "bounded"] is spread_bounded(cluster.spread, report.bound) is True
 
     def test_stats_document_shape(self):
         _, cluster = telemetry_run()

@@ -69,6 +69,20 @@ class TestVirtualCluster:
         assert service.now() == pytest.approx(cluster.clocks[0].read(now),
                                               abs=1e-9)
 
+    def test_hosted_subset_wires_only_those_nodes(self):
+        """One process of a multi-process cluster hosts one node: its
+        clock is that node's model, and every sample reads it alone."""
+        params = default_live_params()
+        loop = Simulator(seed=0)
+        cluster = build_cluster(params, loop, seed=3, transport="udp",
+                                hosted=(2,))
+        assert set(cluster.processes) == set(cluster.clocks) == {2}
+        assert set(cluster.transports) == {2}
+        assert cluster.clocks[2].read(0.0) == \
+            make_live_clocks(params, seed=3)[2].read(0.0)
+        assert cluster.sample_once() == 0.0
+        assert set(cluster.series) == {2}
+
     def test_stop_is_idempotent(self):
         _, cluster = virtual_run(duration=1.0)
         cluster.stop()
