@@ -676,7 +676,8 @@ def _transport_cells(counters: dict[str, int]) -> list:
 
 def _cmd_live_processes(args: argparse.Namespace) -> int:
     """Parent side of --processes: spawn one ``repro live --node-index``
-    run per node, each tracing to its own file; bucket the traces."""
+    run per node, each tracing to its own file; rebuild every node's
+    clock from the traces and judge the spread at common ``tau``."""
     import subprocess
     import tempfile
     import time
@@ -684,7 +685,7 @@ def _cmd_live_processes(args: argparse.Namespace) -> int:
     from repro.errors import ConfigurationError
     from repro.obs.bus import read_events_jsonl
     from repro.obs.live import spread_bounded
-    from repro.rt.live import aggregate_process_samples, default_live_params
+    from repro.rt.live import default_live_params, make_live_clocks, replay_spread
 
     unsupported = [flag for flag, given in (
         ("--json", args.json_out is not None),
@@ -728,21 +729,22 @@ def _cmd_live_processes(args: argparse.Namespace) -> int:
             failed = failed or child.returncode != 0
         streams = [read_events_jsonl(trace) if trace.exists() else []
                    for trace in traces]
-    samples, rows = [], []
+    rows = []
     for node, events in enumerate(streams):
-        deviations = [event for event in events
-                      if event.kind == "live.deviation"]
-        samples += [{"node": event.node, "tau": event.time,
-                     "clock": event.data["clock"]} for event in deviations]
         delivered = [event.data["snapshot"]["counters"]
                      ["transport_delivered"][str(node)]
                      for event in events if event.kind == "metrics.snapshot"]
         rows.append([f"node {node}",
-                     sum(event.kind == "live.sync" for event in events),
-                     len(deviations),
+                     sum(event.kind == "sync.complete" for event in events),
+                     sum(event.kind == "live.deviation" for event in events),
                      int(delivered[-1]) if delivered else "-"])
-    series = aggregate_process_samples(samples, args.nodes,
-                                       args.sample_interval)
+    # Every clock is read at each k * sample_interval up to the duration
+    # (rounded first, so 0.3 / 0.1 counts 3 instants, not 2).
+    instants = int(round(args.duration / args.sample_interval, 9))
+    series = replay_spread(
+        make_live_clocks(params, args.seed),
+        [event for events in streams for event in events],
+        [k * args.sample_interval for k in range(1, instants + 1)])
     bound = params.bounds().max_deviation
     print(f"live transport=udp processes={args.nodes} f={args.f} "
           f"duration={args.duration}s base_port={args.base_port}")
@@ -750,11 +752,12 @@ def _cmd_live_processes(args: argparse.Namespace) -> int:
                 title="per-process summary"))
     bounded = not failed and spread_bounded(series, bound)
     if series:
-        print(f"\ncluster spread over {len(series)} aligned buckets: "
+        print(f"\ncluster spread at {len(series)} common instants: "
               f"max {max(s for _, s in series):.6f} final {series[-1][1]:.6f} "
               f"bound {bound:.6f} {check_mark(bounded)}")
     else:
-        print("\nno aligned sample buckets (children overlapped too little)")
+        print("\nno common instant: the duration is shorter than "
+              "--sample-interval")
     return 0 if bounded else 1
 
 

@@ -59,11 +59,6 @@ class Envelope:
         spread = self.rho * (tau - self.tau0)
         return (self.lo - spread, self.hi + spread)
 
-    def width_at(self, tau: float) -> float:
-        """``|E(tau)|``: size of the bias interval at ``tau``."""
-        low, high = self.interval_at(tau)
-        return high - low
-
     def contains(self, tau: float, beta: float, slack: float = 0.0) -> bool:
         """Whether bias ``beta`` lies in ``E(tau)`` (within ``slack``)."""
         low, high = self.interval_at(tau)

@@ -110,24 +110,3 @@ def spread_slice(columns: Sequence[Sequence[float]], lo: int, hi: int) -> list[f
         out.append(max(values) - min(values))
     return out
 
-
-def minmax_slice(columns: Sequence[Sequence[float]], lo: int, hi: int,
-                 ) -> tuple[list[float], list[float]]:
-    """Per-index ``(min, max)`` across ``columns`` over ``[lo, hi)``.
-
-    Used by the recovery measurement for good-range bounds.  Same
-    exactness contract as :func:`spread_slice`.
-    """
-    if numpy_active():
-        rows = [_np.frombuffer(col, dtype=_np.float64, offset=8 * lo, count=hi - lo)
-                if isinstance(col, array)
-                else _np.asarray(col, dtype=_np.float64)[lo:hi]
-                for col in columns]
-        return ((_np.minimum.reduce(rows) + 0.0).tolist(),
-                (_np.maximum.reduce(rows) + 0.0).tolist())
-    mins, maxs = [], []
-    for i in range(lo, hi):
-        values = [col[i] for col in columns]
-        mins.append(min(values) + 0.0)
-        maxs.append(max(values) + 0.0)
-    return mins, maxs

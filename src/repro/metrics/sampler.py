@@ -393,9 +393,8 @@ class GoodSetIndex(WindowIndex):
     ``s <= tau`` and ``e >= max(0, tau - PI)`` — a single closed
     ``tau``-interval whose float-exact bounds the sweep precomputes.
 
-    Guaranteed bit-identical to :func:`good_set` /:func:`faulty_at` for
-    every float ``tau`` (the property suite enforces this against
-    random corruption sets).
+    Guaranteed bit-identical to :func:`good_set` for every float ``tau``
+    (the property suite enforces this against random corruption sets).
 
     Args:
         corruptions: Audited corruption intervals.
@@ -408,7 +407,6 @@ class GoodSetIndex(WindowIndex):
         super().__init__(corruptions, n, before=pi, after=0.0)
         self.pi = float(pi)
         self._corruptions = tuple(corruptions)
-        self._instant: WindowIndex | None = None
 
     @property
     def corruptions(self) -> tuple[CorruptionInterval, ...]:
@@ -422,16 +420,6 @@ class GoodSetIndex(WindowIndex):
     def good_set(self, tau: float) -> set[int]:
         """A fresh mutable copy of the good set at ``tau``."""
         return set(self.included_at(tau))
-
-    def faulty_nodes_at(self, tau: float) -> frozenset[int]:
-        """Nodes adversary-controlled at the instant ``tau`` (O(log C)).
-
-        Matches :func:`faulty_at` bit-for-bit for ``tau >= 0``.  The
-        instant index is built lazily on first use.
-        """
-        if self._instant is None:
-            self._instant = WindowIndex(self._corruptions, self.n, 0.0, 0.0)
-        return self._instant.excluded_at(tau)
 
 
 # ----------------------------------------------------------------------
@@ -477,11 +465,6 @@ class ClockSamples:
     def bias(self, node: int, index: int) -> float:
         """Bias ``B_node = C_node - tau`` at sample ``index``."""
         return self.clocks[node][index] - self.times[index]
-
-    def biases_at(self, index: int, nodes: Sequence[int] | None = None) -> dict[int, float]:
-        """Biases of ``nodes`` (default: all) at sample ``index``."""
-        chosen = self.clocks.keys() if nodes is None else nodes
-        return {node: self.bias(node, index) for node in chosen}
 
     def index_at_or_after(self, tau: float) -> int:
         """Index of the first sample at or after ``tau``.

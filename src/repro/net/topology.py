@@ -46,13 +46,6 @@ class Topology:
         self._adj[u].add(v)
         self._adj[v].add(u)
 
-    def remove_edge(self, u: int, v: int) -> None:
-        """Remove the undirected edge ``{u, v}`` (no-op if absent)."""
-        self._check_node(u)
-        self._check_node(v)
-        self._adj[u].discard(v)
-        self._adj[v].discard(u)
-
     def has_edge(self, u: int, v: int) -> bool:
         """Whether ``u`` and ``v`` are directly connected."""
         self._check_node(u)

@@ -229,10 +229,6 @@ class Theorem5Probe:
         """True while no probe has fired."""
         return not self.violations
 
-    def first_violation(self) -> ProbeViolation | None:
-        """The earliest violation, or ``None`` when the run is clean."""
-        return self.violations[0] if self.violations else None
-
 
 def violations_from_events(events) -> list[ProbeViolation]:
     """Rebuild :class:`ProbeViolation` records from a recorded stream."""

@@ -11,15 +11,16 @@ the standard :class:`~repro.obs.bus.EventBus`:
 * ``live.deviation`` — per node per sample: clock reading and signed
   deviation from the cluster median;
 * ``live.spread`` — per sample: the max-minus-min cluster spread, the
-  live analogue of Definition 3's pairwise deviation;
-* ``live.sync`` — one event per completed Sync (correction, round).
+  live analogue of Definition 3's pairwise deviation.
 
 The same wiring runs on a :class:`~repro.sim.engine.Simulator` via
 :func:`build_cluster` + ``sim.run(until=...)`` — that path is what the
 rt tests and ``tools/check_determinism.py`` drive deterministically.
 It also runs one node of a cluster per OS process (``repro live
 --processes``): each process hosts its node on a fixed UDP port and
-starts at a shared epoch.
+starts at a shared epoch, and :func:`replay_spread` rebuilds every
+node's clock from the processes' ``sync.complete`` events to read them
+all at one ``tau``.
 
 :func:`run_live` finishes by fronting each node with a
 :class:`~repro.service.timeservice.SecureTimeService`, so the service
@@ -30,7 +31,6 @@ time.
 from __future__ import annotations
 
 import asyncio
-import math
 import random
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Iterable
@@ -299,11 +299,6 @@ def build_cluster(params: ProtocolParams, loop: Any, seed: int = 0,
         process = SyncProcess(runtime, params,
                               start_phase=node * params.sync_interval / params.n)
         runtime.bind(process)
-        process.sync_listeners.append(
-            lambda record: bus.publish("live.sync", node=record.node_id,
-                                       round_no=record.round_no,
-                                       correction=record.correction,
-                                       replies=record.replies))
         runtimes[node] = runtime
         processes[node] = process
 
@@ -331,7 +326,6 @@ class LiveReport:
         series: Per-node ``(tau, deviation-from-median)`` samples.
         spread: Cluster ``(tau, spread)`` samples.
         rounds: Completed Sync rounds per node.
-        corrections: Applied corrections per node, in order.
         bound: The Theorem 5 deviation bound for ``params``.
         events_published: Total obs-bus events emitted.
         service_readings: One final ``SecureTimeService.now()`` per node.
@@ -360,7 +354,6 @@ class LiveReport:
     series: dict[int, list[tuple[float, float]]]
     spread: list[tuple[float, float]]
     rounds: dict[int, int]
-    corrections: dict[int, list[float]]
     bound: float
     events_published: int
     service_readings: dict[int, float]
@@ -410,8 +403,6 @@ class LiveReport:
             "samples": len(self.spread),
             "spread": [[tau, s] for tau, s in self.spread],
             "rounds": {str(n): r for n, r in self.rounds.items()},
-            "corrections": {str(n): len(c)
-                            for n, c in self.corrections.items()},
             "events_published": self.events_published,
             "service_readings": {str(n): v
                                  for n, v in self.service_readings.items()},
@@ -506,8 +497,6 @@ def run_live(nodes: int = 4, f: int = 1, duration: float = 2.0,
             spread=cluster.spread,
             rounds={node: proc.rounds_completed
                     for node, proc in cluster.processes.items()},
-            corrections={node: [r.correction for r in proc.sync_records]
-                         for node, proc in cluster.processes.items()},
             bound=params.bounds().max_deviation,
             events_published=cluster.bus.events_published,
             service_readings=services,
@@ -532,29 +521,29 @@ def run_live(nodes: int = 4, f: int = 1, duration: float = 2.0,
     return asyncio.run(run())
 
 
-def aggregate_process_samples(samples: list[dict], nodes: int,
-                              sample_interval: float
-                              ) -> list[tuple[float, float]]:
-    """Bucket per-process clock samples into a cluster spread series.
+def replay_spread(clocks: dict[int, LogicalClock],
+                  events: Iterable["ObsEvent"], taus: Iterable[float]
+                  ) -> list[tuple[float, float]]:
+    """Cluster spread at common ``tau``, over clocks rebuilt from a trace.
 
-    Children sample on their own schedules, so samples are grouped into
-    ``sample_interval``-wide tau buckets; a bucket contributes a spread
-    point only when every node reported in it (per-node latest wins).
-
-    Bucketing uses ``math.floor``, not ``int()``: children that start
-    slightly before the shared epoch emit samples with small *negative*
-    tau, and ``int()``'s truncation toward zero would fold the whole
-    ``(-interval, +interval)`` range into bucket 0, corrupting the
-    first spread point with pre-epoch readings.
+    ``clocks`` start as :func:`make_live_clocks` builds them (hardware
+    model and initial ``adj``).  Every ``sync.complete`` event in
+    ``events`` is applied, in time order, as
+    ``clocks[node].adjust(time, correction)``, so on return each clock's
+    ``adjustments`` log is its node's correction history.  Each
+    ``(tau, max - min)`` point reads every clock at the same ``tau`` of
+    the ascending ``taus``, after the corrections stamped at or before
+    it: Theorem 5(i)'s precision for nodes that never shared a sampler.
     """
-    buckets: dict[int, dict[int, float]] = {}
-    for record in samples:
-        bucket = math.floor(record["tau"] / sample_interval)
-        buckets.setdefault(bucket, {})[record["node"]] = record["clock"]
-    series = []
-    for bucket in sorted(buckets):
-        readings = buckets[bucket]
-        if len(readings) == nodes:
-            values = sorted(readings.values())
-            series.append((bucket * sample_interval, values[-1] - values[0]))
+    syncs = sorted((event for event in events
+                    if event.kind == "sync.complete"),
+                   key=lambda event: event.time)
+    series, applied = [], 0
+    for tau in taus:
+        while applied < len(syncs) and syncs[applied].time <= tau:
+            event = syncs[applied]
+            clocks[event.node].adjust(event.time, event.data["correction"])
+            applied += 1
+        readings = [clock.read(tau) for clock in clocks.values()]
+        series.append((tau, max(readings) - min(readings)))
     return series

@@ -340,13 +340,18 @@ def test_live_processes_refuses_flags_it_does_not_forward(
 
 def _fake_live_children(monkeypatch, failing=()):
     """Replace ``Popen`` with children that write a canned ``--trace``
-    stream: node ``i`` samples at tau 0.05, 0.15, ..., 0.45 reading
-    ``tau + 0.001 i``, completes 3 Syncs and delivers ``10 + i``
+    stream for ``--seed 0``.  Node ``i`` samples at tau ``0.05 + 0.02 i``,
+    then every 0.1 s up to 0.5, reading ``tau + 0.001 i``: samplers out
+    of phase, so a bucket of them spans ~0.08 s.  Its first of 3
+    ``sync.complete`` corrections cancels its seeded initial ``adj``, so
+    the rebuilt clocks differ by drift alone.  It delivers ``10 + i``
     datagrams; a node in ``failing`` exits 1."""
     import subprocess
 
     from repro.obs.bus import ObsEvent, events_to_jsonl
+    from repro.rt.live import default_live_params, make_live_clocks
 
+    initial = make_live_clocks(default_live_params(n=4), seed=0)
     commands = []
 
     class FakePopen:
@@ -356,14 +361,16 @@ def _fake_live_children(monkeypatch, failing=()):
             self.returncode = 1 if node in failing else 0
             events = []
             for step in range(5):
-                tau = 0.05 + 0.1 * step
+                tau = 0.05 + 0.02 * node + 0.1 * step
                 events.append(ObsEvent(len(events), tau, "live.deviation",
                                        node, {"clock": tau + 0.001 * node,
                                               "deviation": 0.0}))
             for round_no in range(3):
+                correction = -initial[node].adj if round_no == 0 else 0.0
                 events.append(ObsEvent(len(events), 0.1 * round_no,
-                                       "live.sync", node,
-                                       {"round_no": round_no}))
+                                       "sync.complete", node,
+                                       {"round": round_no,
+                                        "correction": correction}))
             events.append(ObsEvent(len(events), 0.5, "metrics.snapshot",
                                    None, {"snapshot": {"counters": {
                                        "transport_delivered": {
@@ -382,9 +389,13 @@ def _fake_live_children(monkeypatch, failing=()):
     return commands
 
 
-def test_live_processes_buckets_the_children_traces(monkeypatch, capsys):
+def test_live_processes_rebuilds_the_children_clocks(monkeypatch, capsys):
     """Each child is an ordinary `repro live` run tracing to its own
-    file; the parent buckets their `live.deviation` events."""
+    file; the parent replays their `sync.complete` corrections onto the
+    seeded clocks and reads all of them at each common tau, so the
+    samplers' phase skew does not enter the spread."""
+    from repro.rt.live import default_live_params, make_live_clocks
+
     commands = _fake_live_children(monkeypatch)
     code = main(["live", "--processes", "--nodes", "4", "--duration", "0.5"])
     out = capsys.readouterr().out
@@ -395,15 +406,21 @@ def test_live_processes_buckets_the_children_traces(monkeypatch, capsys):
                 for command in commands}) == 4
     for node in range(4):
         assert f"node {node}      3        5        {10 + node}" in out
-    assert ("cluster spread over 5 aligned buckets: max 0.003000 "
-            "final 0.003000 bound 0.320653 OK") in out
+    # Corrected to adj == 0, clock i reads rate_i * tau: the spread
+    # grows with tau and is largest at the last instant.
+    readings = [clock.hardware.read(0.5) for clock in
+                make_live_clocks(default_live_params(n=4), seed=0).values()]
+    spread = max(readings) - min(readings)
+    assert 0.0 < spread < 1e-4
+    assert (f"cluster spread at 5 common instants: max {spread:.6f} "
+            f"final {spread:.6f} bound 0.320653 OK") in out
 
 
 def test_live_processes_fails_when_a_child_fails(monkeypatch, capsys):
     _fake_live_children(monkeypatch, failing=(2,))
     code = main(["live", "--processes", "--nodes", "4", "--duration", "0.5"])
     assert code == 1
-    assert "aligned buckets" in capsys.readouterr().out
+    assert "common instants" in capsys.readouterr().out
 
 
 def test_live_child_hosts_only_its_node(tmp_path, capsys):

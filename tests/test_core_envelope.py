@@ -13,13 +13,11 @@ from repro.errors import MeasurementError
 def test_interval_at_anchor():
     env = Envelope(tau0=10.0, lo=-1.0, hi=2.0, rho=0.1)
     assert env.interval_at(10.0) == (-1.0, 2.0)
-    assert env.width_at(10.0) == 3.0
 
 
 def test_interval_widens_with_drift():
     env = Envelope(tau0=0.0, lo=-1.0, hi=1.0, rho=0.5)
     assert env.interval_at(2.0) == (-2.0, 2.0)
-    assert env.width_at(2.0) == 4.0
 
 
 def test_evaluation_before_anchor_rejected():

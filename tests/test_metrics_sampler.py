@@ -66,11 +66,6 @@ class TestClockSamples:
         assert samples.bias(0, 1) == pytest.approx(0.1)
         assert samples.bias(1, 0) == pytest.approx(0.5)
 
-    def test_biases_at(self):
-        samples = self.make()
-        assert samples.biases_at(2) == {0: pytest.approx(0.2), 1: pytest.approx(0.5)}
-        assert samples.biases_at(2, nodes=[1]) == {1: pytest.approx(0.5)}
-
     def test_index_at_or_after(self):
         samples = self.make()
         assert samples.index_at_or_after(0.0) == 0

@@ -27,13 +27,6 @@ class TestTopology:
         with pytest.raises(TopologyError):
             topo.has_edge(-1, 0)
 
-    def test_remove_edge(self):
-        topo = Topology(3)
-        topo.add_edge(0, 1)
-        topo.remove_edge(0, 1)
-        assert not topo.has_edge(0, 1)
-        topo.remove_edge(0, 1)  # no-op, no error
-
     def test_neighbors_sorted(self):
         topo = Topology(4)
         topo.add_edge(2, 3)

@@ -186,7 +186,7 @@ class TestIntrospection:
         params, cluster = telemetry_run(duration=1.0)
         report = LiveReport(params=params, transport="loopback",
                             duration=1.0, series={}, spread=cluster.spread,
-                            rounds={}, corrections={},
+                            rounds={},
                             bound=params.bounds().max_deviation,
                             events_published=0, service_readings={})
         assert report.bounded() is cluster.introspection().health()[

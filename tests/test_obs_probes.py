@@ -59,7 +59,7 @@ class TestDeviationProbe:
         probe = Theorem5Probe(params, make_clocks(params.n))
         for i in range(50):
             probe.on_sample(i * 0.1)
-        assert probe.ok and probe.first_violation() is None
+        assert probe.ok and probe.violations == []
 
     def test_fires_once_and_rearms(self, params):
         clocks = make_clocks(params.n)
@@ -165,7 +165,7 @@ class TestEndToEnd:
         recorder = FlightRecorder()
         run(scenario, recorder=recorder)
         assert not recorder.probe.ok
-        first = recorder.probe.first_violation()
+        first = recorder.probe.violations[0]
         assert first.probe == "deviation"
         assert 5.0 <= first.time < scenario.duration
         # The stream carries the violations for offline analysis.

@@ -24,9 +24,9 @@ def envelopes(draw, tau0=None, rho=None):
 
 @given(env=envelopes(), dt=offsets)
 def test_width_grows_linearly(env, dt):
-    assert env.width_at(env.tau0 + dt) == (
-        (env.hi - env.lo) + 2 * env.rho * dt
-    ) or abs(env.width_at(env.tau0 + dt) - ((env.hi - env.lo) + 2 * env.rho * dt)) < 1e-9
+    low, high = env.interval_at(env.tau0 + dt)
+    width = (env.hi - env.lo) + 2 * env.rho * dt
+    assert high - low == width or abs(high - low - width) < 1e-9
 
 
 @given(env=envelopes(), dt=offsets, beta=values)

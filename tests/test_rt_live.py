@@ -9,10 +9,10 @@ import pytest
 
 from repro.obs.bus import EventBus
 from repro.rt.live import (
-    aggregate_process_samples,
     build_cluster,
     default_live_params,
     make_live_clocks,
+    replay_spread,
     run_live,
 )
 from repro.sim.engine import Simulator
@@ -43,18 +43,26 @@ class TestVirtualCluster:
         assert len(lengths) == 1  # same sampling grid for everyone
 
     def test_bus_receives_live_events(self):
-        bus = EventBus()
-        kinds = []
-        bus.subscribe(lambda event: kinds.append(event.kind))
-        params = default_live_params()
-        loop = Simulator(seed=0)
-        cluster = build_cluster(params, loop, seed=1, transport="loopback",
-                                bus=bus)
-        cluster.start(sample_interval=0.25)
-        loop.run(until=2.0)
-        assert "live.deviation" in kinds
-        assert "live.spread" in kinds
-        assert "live.sync" in kinds
+        """Uninstrumented, the bus carries the sampler's two kinds only;
+        with telemetry each completed Sync is one ``sync.complete``."""
+        for telemetry in (False, True):
+            bus = EventBus()
+            kinds = []
+            bus.subscribe(lambda event: kinds.append(event.kind))
+            params = default_live_params()
+            loop = Simulator(seed=0)
+            cluster = build_cluster(params, loop, seed=1,
+                                    transport="loopback", bus=bus,
+                                    telemetry=telemetry)
+            cluster.start(sample_interval=0.25)
+            loop.run(until=2.0)
+            if telemetry:
+                assert {"live.deviation", "live.spread"} <= set(kinds)
+                assert kinds.count("sync.complete") == sum(
+                    process.rounds_completed
+                    for process in cluster.processes.values()) > 0
+            else:
+                assert set(kinds) == {"live.deviation", "live.spread"}
 
     def test_deterministic_under_virtual_time(self):
         _, first = virtual_run(seed=9)
@@ -109,39 +117,41 @@ class TestLiveClocks:
         assert max(readings) - min(readings) > 0.0
 
 
-class TestAggregation:
-    def test_buckets_require_all_nodes(self):
-        samples = [
-            {"node": 0, "tau": 0.05, "clock": 1.00},
-            {"node": 1, "tau": 0.06, "clock": 1.02},
-            {"node": 0, "tau": 0.15, "clock": 1.10},  # node 1 missing here
-        ]
-        series = aggregate_process_samples(samples, nodes=2,
-                                           sample_interval=0.1)
-        assert series == [(0.0, pytest.approx(0.02))]
+class TestReplaySpread:
+    def test_rebuilt_clocks_match_the_simulated_ones_bit_for_bit(self):
+        """On the simulator an event's time is the adjustment's tau, so
+        the clocks rebuilt from ``sync.complete`` read exactly what the
+        sampler read, and their spread is the cluster's."""
+        params = default_live_params()
+        loop = Simulator(seed=0)
+        cluster = build_cluster(params, loop, seed=3, transport="loopback",
+                                telemetry=True)
+        cluster.start(sample_interval=0.1)
+        loop.run(until=4.0)
+        events = cluster.telemetry.events
+        syncs = [event for event in events if event.kind == "sync.complete"]
+        sampled: dict[float, dict[int, float]] = {}
+        for event in events:
+            if event.kind == "live.deviation":
+                sampled.setdefault(event.time, {})[event.node] = \
+                    event.data["clock"]
+        assert len(cluster.spread) >= 39 and len(syncs) > params.n
 
-    def test_latest_sample_wins_within_bucket(self):
-        samples = [
-            {"node": 0, "tau": 0.01, "clock": 5.0},
-            {"node": 0, "tau": 0.09, "clock": 1.00},
-            {"node": 1, "tau": 0.05, "clock": 1.01},
-        ]
-        series = aggregate_process_samples(samples, nodes=2,
-                                           sample_interval=0.1)
-        assert series == [(0.0, pytest.approx(0.01))]
-
-    def test_negative_tau_stays_out_of_bucket_zero(self):
-        # int() truncates toward zero, so a sample at tau in
-        # (-interval, 0) used to land in bucket 0 and clobber the
-        # legitimate t=0 samples with a wildly different clock value.
-        samples = [
-            {"node": 0, "tau": 0.04, "clock": 1.00},
-            {"node": 1, "tau": 0.05, "clock": 1.01},
-            {"node": 0, "tau": -0.05, "clock": 999.0},
-        ]
-        series = aggregate_process_samples(samples, nodes=2,
-                                           sample_interval=0.1)
-        assert series == [(0.0, pytest.approx(0.01))]
+        rebuilt, previous = make_live_clocks(params, seed=3), -1.0
+        for tau, spread in cluster.spread:
+            window = [event for event in syncs
+                      if previous < event.time <= tau]
+            assert replay_spread(rebuilt, window, [tau]) == [(tau, spread)]
+            assert {node: clock.read(tau)
+                    for node, clock in rebuilt.items()} == sampled[tau]
+            previous = tau
+        taus = [tau for tau, _ in cluster.spread]
+        for node, clock in rebuilt.items():
+            assert clock.adjustments == [
+                entry for entry in cluster.clocks[node].adjustments
+                if entry[0] <= taus[-1]]
+        assert replay_spread(make_live_clocks(params, seed=3), events,
+                             taus) == cluster.spread
 
 
 class TestTelemetryWiring:
