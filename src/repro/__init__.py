@@ -44,8 +44,6 @@ __all__ = [
     "CampaignResult",
     "RunRecord",
     "run",
-    "sweep",
-    "replicate",
     "default_params",
     "benign_scenario",
     "mobile_byzantine_scenario",
@@ -87,7 +85,7 @@ __getattr__, __dir__ = _lazy.exports(__name__, {
         "Campaign", "CampaignResult", "EvaluationSpec", "ResultStore",
         "RunRecord", "RunResult", "Scenario", "benign_scenario",
         "default_params", "evaluate", "mobile_byzantine_scenario",
-        "recovery_scenario", "replicate", "run", "split_world_scenario",
-        "sweep", "two_clique_scenario",
+        "recovery_scenario", "run", "split_world_scenario",
+        "two_clique_scenario",
     ),
 })

@@ -37,8 +37,10 @@ Subcommands:
 * ``live`` — deploy the same Sync protocol on real asyncio nodes
   (localhost UDP by default, ``--processes`` for one OS process per
   node) for a wall-clock duration, streaming live deviation telemetry
-  through the observability bus; exits non-zero unless every sampled
-  cluster spread stays under the Theorem 5 bound.  With ``--serve``
+  through the observability bus.  Both modes print one report (per-node
+  deviations, transport counters, the spread of every clock read at
+  common instants); exits non-zero unless every spread stays under the
+  Theorem 5 bound and no node's process failed.  With ``--serve``
   every node additionally answers client time queries on UDP port
   ``--serve-base-port + node``; ``--telemetry`` attaches the live
   telemetry plane (metrics registry + wall-clock Theorem 5 probe) and
@@ -582,30 +584,47 @@ def cmd_soak(args: argparse.Namespace) -> int:
 def cmd_live(args: argparse.Namespace) -> int:
     """Run Sync on real asyncio nodes and report live deviations.
 
-    A ``--node-index`` run is one process of a ``--processes`` cluster:
-    the same run, hosting only that node.
+    ``--processes`` runs one OS process per node
+    (:func:`~repro.rt.live.run_processes`), and a ``--node-index`` run
+    is one of them: the same run, hosting only that node.  Both print
+    the same report.
     """
-    from repro.errors import ReproError
-    from repro.rt.live import run_live
+    from repro.errors import ConfigurationError, ReproError
+    from repro.rt.live import run_live, run_processes
 
     try:
         if args.processes:
-            return _cmd_live_processes(args)
-        report = run_live(nodes=args.nodes, f=args.f, duration=args.duration,
-                          delta=args.delta, rho=args.rho, pi=args.pi,
-                          transport=args.transport,
-                          sample_interval=args.sample_interval,
-                          seed=args.seed,
-                          serve_base_port=(args.serve_base_port if args.serve
-                                           else None),
-                          telemetry=(args.telemetry
-                                     or args.metrics_port is not None
-                                     or args.trace_out is not None),
-                          metrics_port=args.metrics_port,
-                          node_index=args.node_index,
-                          base_port=(None if args.node_index is None
-                                     else args.base_port),
-                          epoch=args.epoch)
+            unsupported = [flag for flag, given in (
+                ("--trace", args.trace_out is not None),
+                ("--serve", args.serve), ("--telemetry", args.telemetry),
+                ("--metrics-port", args.metrics_port is not None),
+                ("--transport loopback", args.transport == "loopback"))
+                if given]
+            if unsupported:
+                raise ConfigurationError(
+                    f"--processes does not support {', '.join(unsupported)}")
+            report = run_processes(nodes=args.nodes, f=args.f,
+                                   duration=args.duration, delta=args.delta,
+                                   rho=args.rho, pi=args.pi,
+                                   sample_interval=args.sample_interval,
+                                   seed=args.seed, base_port=args.base_port)
+        else:
+            report = run_live(nodes=args.nodes, f=args.f,
+                              duration=args.duration, delta=args.delta,
+                              rho=args.rho, pi=args.pi,
+                              transport=args.transport,
+                              sample_interval=args.sample_interval,
+                              seed=args.seed,
+                              serve_base_port=(args.serve_base_port
+                                               if args.serve else None),
+                              telemetry=(args.telemetry
+                                         or args.metrics_port is not None
+                                         or args.trace_out is not None),
+                              metrics_port=args.metrics_port,
+                              node_index=args.node_index,
+                              base_port=(None if args.node_index is None
+                                         else args.base_port),
+                              epoch=args.epoch)
     except ReproError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
@@ -639,8 +658,14 @@ def cmd_live(args: argparse.Namespace) -> int:
         print()
         print(table(["transport", *_TRANSPORT_HEADERS], drop_rows,
                     title="transport counters", precision=0))
+    for node in report.failed_nodes:
+        print(f"live: node {node} failed: its process exited non-zero, "
+              f"was killed or left no readable trace", file=sys.stderr)
     bounded = report.bounded()
-    print(f"\ncluster spread: max {report.max_spread():.6f} "
+    instants = len(report.spread)
+    print(f"\ncluster spread at {instants} common "
+          f"instant{'' if instants == 1 else 's'}: "
+          f"max {report.max_spread():.6f} "
           f"final {report.final_spread():.6f} "
           f"bound {report.bound:.6f} {check_mark(bounded)}")
     print(f"obs events published: {report.events_published}")
@@ -672,93 +697,6 @@ def _transport_cells(counters: dict[str, int]) -> list:
     a counter it lacks: a loopback hub drops nothing)."""
     from repro.obs.live import TRANSPORT_COUNTERS
     return [counters.get(name, "-") for name, _ in TRANSPORT_COUNTERS]
-
-
-def _cmd_live_processes(args: argparse.Namespace) -> int:
-    """Parent side of --processes: spawn one ``repro live --node-index``
-    run per node, each tracing to its own file; rebuild every node's
-    clock from the traces and judge the spread at common ``tau``."""
-    import subprocess
-    import tempfile
-    import time
-
-    from repro.errors import ConfigurationError
-    from repro.obs.bus import read_events_jsonl
-    from repro.obs.live import spread_bounded
-    from repro.rt.live import default_live_params, make_live_clocks, replay_spread
-
-    unsupported = [flag for flag, given in (
-        ("--json", args.json_out is not None),
-        ("--trace", args.trace_out is not None),
-        ("--serve", args.serve), ("--telemetry", args.telemetry),
-        ("--metrics-port", args.metrics_port is not None),
-        ("--transport loopback", args.transport == "loopback")) if given]
-    if unsupported:
-        raise ConfigurationError(
-            f"--processes does not support {', '.join(unsupported)}")
-    params = default_live_params(n=args.nodes, f=args.f, delta=args.delta,
-                                 rho=args.rho, pi=args.pi)
-    epoch = time.monotonic() + 1.0  # give every child time to bind first
-    with tempfile.TemporaryDirectory() as scratch:
-        traces = [pathlib.Path(scratch) / f"node{node}.jsonl"
-                  for node in range(args.nodes)]
-        children = [subprocess.Popen(
-            [sys.executable, "-m", "repro", "live",
-             "--node-index", str(node), "--nodes", str(args.nodes),
-             "--f", str(args.f), "--duration", str(args.duration),
-             "--delta", str(args.delta), "--rho", str(args.rho),
-             "--pi", str(args.pi), "--base-port", str(args.base_port),
-             "--epoch", repr(epoch), "--seed", str(args.seed),
-             "--sample-interval", str(args.sample_interval),
-             "--trace", str(trace)], stdout=subprocess.DEVNULL)
-            for node, trace in enumerate(traces)]
-        failed = False
-        timeout = args.duration + 30.0
-        for node, child in enumerate(children):
-            try:
-                child.communicate(timeout=timeout)
-            except subprocess.TimeoutExpired:
-                for other in children:
-                    if other.poll() is None:
-                        other.kill()
-                        other.wait()
-                print(f"live: node {node} did not finish within "
-                      f"{timeout:g}s; killed every running child",
-                      file=sys.stderr)
-                return 1
-            failed = failed or child.returncode != 0
-        streams = [read_events_jsonl(trace) if trace.exists() else []
-                   for trace in traces]
-    rows = []
-    for node, events in enumerate(streams):
-        delivered = [event.data["snapshot"]["counters"]
-                     ["transport_delivered"][str(node)]
-                     for event in events if event.kind == "metrics.snapshot"]
-        rows.append([f"node {node}",
-                     sum(event.kind == "sync.complete" for event in events),
-                     sum(event.kind == "live.deviation" for event in events),
-                     int(delivered[-1]) if delivered else "-"])
-    # Every clock is read at each k * sample_interval up to the duration
-    # (rounded first, so 0.3 / 0.1 counts 3 instants, not 2).
-    instants = int(round(args.duration / args.sample_interval, 9))
-    series = replay_spread(
-        make_live_clocks(params, args.seed),
-        [event for events in streams for event in events],
-        [k * args.sample_interval for k in range(1, instants + 1)])
-    bound = params.bounds().max_deviation
-    print(f"live transport=udp processes={args.nodes} f={args.f} "
-          f"duration={args.duration}s base_port={args.base_port}")
-    print(table(["process", "syncs", "samples", "messages"], rows,
-                title="per-process summary"))
-    bounded = not failed and spread_bounded(series, bound)
-    if series:
-        print(f"\ncluster spread at {len(series)} common instants: "
-              f"max {max(s for _, s in series):.6f} final {series[-1][1]:.6f} "
-              f"bound {bound:.6f} {check_mark(bounded)}")
-    else:
-        print("\nno common instant: the duration is shorter than "
-              "--sample-interval")
-    return 0 if bounded else 1
 
 
 def cmd_query(args: argparse.Namespace) -> int:

@@ -60,9 +60,9 @@ def spread_bounded(spread: list[tuple[float, float]], bound: float) -> bool:
     """The live verdict: at least one ``(tau, spread)`` sample, and every
     spread within the Theorem 5(i) deviation ``bound``.
 
-    The one rule behind ``LiveReport.bounded()``, the ``health``
-    document and the ``repro live --processes`` parent.  No per-node
-    check is needed: each sample reads every clock the cluster hosts.
+    The one rule behind ``LiveReport.bounded()`` (in process and with
+    ``--processes``) and the ``health`` document.  No per-node check is
+    needed: each sample reads every clock the cluster hosts.
     """
     return bool(spread) and all(s <= bound for _, s in spread)
 

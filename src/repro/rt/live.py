@@ -16,11 +16,14 @@ the standard :class:`~repro.obs.bus.EventBus`:
 The same wiring runs on a :class:`~repro.sim.engine.Simulator` via
 :func:`build_cluster` + ``sim.run(until=...)`` — that path is what the
 rt tests and ``tools/check_determinism.py`` drive deterministically.
-It also runs one node of a cluster per OS process (``repro live
---processes``): each process hosts its node on a fixed UDP port and
-starts at a shared epoch, and :func:`replay_spread` rebuilds every
-node's clock from the processes' ``sync.complete`` events to read them
-all at one ``tau``.
+:func:`run_processes` runs one node of the cluster per OS process
+(``repro live --processes``): each child is an ordinary ``repro live
+--node-index i`` run hosting its node on a fixed UDP port from a shared
+epoch, and :func:`replay_samples` rebuilds every node's clock from the
+children's ``sync.complete`` events to read them all at one ``tau``.
+Both entry points return the same :class:`LiveReport`: the deviations
+and spread of every clock read at one instant, each ``sample_interval``
+and once more at the end of the run.
 
 :func:`run_live` finishes by fronting each node with a
 :class:`~repro.service.timeservice.SecureTimeService`, so the service
@@ -50,6 +53,25 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.obs.live import ClusterIntrospection, LiveTelemetry
     from repro.obs.recorder import ObsConfig
     from repro.service.query import TimeQueryServer
+
+
+def _sample(clocks: dict[int, LogicalClock], tau: float,
+            series: dict[int, list[tuple[float, float]]],
+            spread: list[tuple[float, float]]
+            ) -> tuple[dict[int, float], dict[int, float]]:
+    """Read every clock at one ``tau``: append each node's deviation
+    from the median reading to ``series`` and the ``max - min`` spread
+    to ``spread``.  Returns the readings and the deviations by node."""
+    readings = {node: clock.read(tau) for node, clock in clocks.items()}
+    ordered = sorted(readings.values())
+    mid = len(ordered) // 2
+    median = (ordered[mid] if len(ordered) % 2
+              else 0.5 * (ordered[mid - 1] + ordered[mid]))
+    deviations = {node: value - median for node, value in readings.items()}
+    for node, deviation in deviations.items():
+        series.setdefault(node, []).append((tau, deviation))
+    spread.append((tau, ordered[-1] - ordered[0]))
+    return readings, deviations
 
 
 def default_live_params(n: int = 4, f: int = 1, delta: float = 0.02,
@@ -134,18 +156,12 @@ class LiveCluster:
         """Read every clock, publish telemetry, record series; returns
         the cluster spread at this instant."""
         tau = self.now()
-        readings = {node: clock.read(tau) for node, clock in self.clocks.items()}
-        ordered = sorted(readings.values())
-        mid = len(ordered) // 2
-        median = (ordered[mid] if len(ordered) % 2
-                  else 0.5 * (ordered[mid - 1] + ordered[mid]))
-        for node, value in readings.items():
-            deviation = value - median
-            self.series.setdefault(node, []).append((tau, deviation))
+        readings, deviations = _sample(self.clocks, tau, self.series,
+                                       self.spread)
+        for node, deviation in deviations.items():
             self.bus.publish("live.deviation", node=node,
-                             clock=value, deviation=deviation)
-        spread = ordered[-1] - ordered[0]
-        self.spread.append((tau, spread))
+                             clock=readings[node], deviation=deviation)
+        spread = self.spread[-1][1]
         self.bus.publish("live.spread", spread=spread,
                          bound=self.params.bounds().max_deviation)
         if self.telemetry is not None:
@@ -317,7 +333,8 @@ def build_cluster(params: ProtocolParams, loop: Any, seed: int = 0,
 
 @dataclass
 class LiveReport:
-    """Outcome of one :func:`run_live` deployment.
+    """Outcome of one :func:`run_live` or :func:`run_processes`
+    deployment.
 
     Attributes:
         params: The parameterization the cluster ran.
@@ -327,8 +344,11 @@ class LiveReport:
         spread: Cluster ``(tau, spread)`` samples.
         rounds: Completed Sync rounds per node.
         bound: The Theorem 5 deviation bound for ``params``.
-        events_published: Total obs-bus events emitted.
-        service_readings: One final ``SecureTimeService.now()`` per node.
+        events_published: Total obs-bus events emitted (for
+            :func:`run_processes`, the events of every child's trace).
+        service_readings: One final ``SecureTimeService.now()`` per node
+            (for :func:`run_processes`, each rebuilt clock read at the
+            last instant of ``spread``).
         query_ports: Query-server port per node (``--serve`` runs only).
         queries_answered: Queries answered per node (``--serve`` only).
         queries_failed: ``ok=False`` replies per node (``--serve`` only).
@@ -346,6 +366,9 @@ class LiveReport:
             telemetry was off).
         events: Every obs event the telemetry plane recorded, in order
             (empty when telemetry was off) — the ``--trace`` stream.
+        failed_nodes: The nodes whose child process exited non-zero,
+            was killed or left no readable trace (always empty in
+            process); any entry makes the run unbounded.
     """
 
     params: ProtocolParams
@@ -367,13 +390,15 @@ class LiveReport:
     metrics_port: int | None = None
     metrics_snapshot: dict | None = None
     events: list["ObsEvent"] = field(default_factory=list)
+    failed_nodes: list[int] = field(default_factory=list)
 
     def bounded(self) -> bool:
-        """The live acceptance criterion,
+        """The live acceptance criterion: no failed node, and
         :func:`repro.obs.live.spread_bounded` over the spread series."""
         from repro.obs.live import spread_bounded
 
-        return spread_bounded(self.spread, self.bound)
+        return not self.failed_nodes and spread_bounded(self.spread,
+                                                        self.bound)
 
     def max_spread(self) -> float:
         """Largest observed cluster spread."""
@@ -417,6 +442,7 @@ class LiveReport:
             "telemetry": self.telemetry,
             "probe_violations": self.probe_violations,
             "metrics_port": self.metrics_port,
+            "failed_nodes": self.failed_nodes,
         }
 
 
@@ -521,29 +547,128 @@ def run_live(nodes: int = 4, f: int = 1, duration: float = 2.0,
     return asyncio.run(run())
 
 
-def replay_spread(clocks: dict[int, LogicalClock],
-                  events: Iterable["ObsEvent"], taus: Iterable[float]
-                  ) -> list[tuple[float, float]]:
-    """Cluster spread at common ``tau``, over clocks rebuilt from a trace.
+def run_processes(nodes: int = 4, f: int = 1, duration: float = 2.0,
+                  delta: float = 0.02, rho: float = 1e-4, pi: float = 2.0,
+                  sample_interval: float = 0.1, seed: int = 0,
+                  base_port: int = 19200) -> LiveReport:
+    """Run a live cluster with one OS process per node; same report as
+    :func:`run_live`.
+
+    Spawns one ``repro live --node-index i`` child per node over UDP
+    (node ``i`` on ``base_port + i``, every child starting at one shared
+    ``CLOCK_MONOTONIC`` epoch, each tracing to its own file) and reaps
+    them; if a child outlives its ``duration + 30`` s wait, it and every
+    other child still running are killed and reaped.  The traces are
+    then replayed by :func:`replay_samples` onto
+    :func:`make_live_clocks`, read at every ``k * sample_interval`` up
+    to ``duration`` and at ``duration`` itself, like the in-process
+    sampler's final sample.  The report's ``rounds`` count each child's
+    ``sync.complete`` events, ``transport_counters[str(i)]`` is child
+    ``i``'s last ``metrics.snapshot``, ``probe_violations`` counts the
+    traces' ``probe.violation`` events and ``failed_nodes`` names every
+    child that exited non-zero, was killed or left no readable trace.
+    """
+    import os
+    import subprocess
+    import sys
+    import tempfile
+    import time
+
+    from repro.obs.bus import read_events_jsonl
+    from repro.obs.live import TRANSPORT_COUNTERS
+    from repro.obs.probes import violations_from_events
+
+    params = default_live_params(n=nodes, f=f, delta=delta, rho=rho, pi=pi)
+    epoch = time.monotonic() + 1.0  # give every child time to bind first
+    streams: list[list["ObsEvent"]] = []
+    with tempfile.TemporaryDirectory() as scratch:
+        traces = [os.path.join(scratch, f"node{node}.jsonl")
+                  for node in range(nodes)]
+        children = [subprocess.Popen(
+            [sys.executable, "-m", "repro", "live",
+             "--node-index", str(node), "--nodes", str(nodes),
+             "--f", str(f), "--duration", str(duration),
+             "--delta", str(delta), "--rho", str(rho),
+             "--pi", str(pi), "--base-port", str(base_port),
+             "--epoch", repr(epoch), "--seed", str(seed),
+             "--sample-interval", str(sample_interval),
+             "--trace", trace], stdout=subprocess.DEVNULL)
+            for node, trace in enumerate(traces)]
+        for child in children:
+            try:
+                child.communicate(timeout=duration + 30.0)
+            except subprocess.TimeoutExpired:
+                for running in children:
+                    if running.poll() is None:
+                        running.kill()
+                        running.wait()
+                break
+        failed = {node for node, child in enumerate(children)
+                  if child.poll() != 0}
+        for node, trace in enumerate(traces):
+            try:
+                streams.append(read_events_jsonl(trace))
+            except (OSError, ValueError, KeyError):
+                streams.append([])  # missing, or cut off by a kill
+                failed.add(node)
+    events = [event for stream in streams for event in stream]
+    # Every k * sample_interval up to the duration (rounded first, so
+    # 0.3 / 0.1 counts 3 instants, not 2), then the duration itself.
+    instants = int(round(duration / sample_interval, 9))
+    taus = [k * sample_interval for k in range(1, instants + 1)]
+    if not taus or abs(taus[-1] - duration) > 1e-9:
+        taus.append(duration)
+    clocks = make_live_clocks(params, seed)
+    series, spread = replay_samples(clocks, events, taus)
+    transport_counters: dict[str, dict[str, int]] = {}
+    for node, stream in enumerate(streams):
+        snapshots = [event.data["snapshot"]["counters"] for event in stream
+                     if event.kind == "metrics.snapshot"]
+        last = snapshots[-1] if snapshots else {}
+        transport_counters[str(node)] = {
+            name: int(last[name][str(node)]) for name, _ in TRANSPORT_COUNTERS
+            if str(node) in last.get(name, {})}
+    return LiveReport(
+        params=params, transport="udp", duration=duration,
+        series=series, spread=spread,
+        rounds={node: sum(event.kind == "sync.complete" for event in stream)
+                for node, stream in enumerate(streams)},
+        bound=params.bounds().max_deviation, events_published=len(events),
+        service_readings={node: clock.read(spread[-1][0])
+                          for node, clock in clocks.items()},
+        transport_counters=transport_counters, telemetry=True,
+        probe_violations=len(violations_from_events(events)),
+        failed_nodes=sorted(failed))
+
+
+def replay_samples(clocks: dict[int, LogicalClock],
+                   events: Iterable["ObsEvent"], taus: Iterable[float]
+                   ) -> tuple[dict[int, list[tuple[float, float]]],
+                              list[tuple[float, float]]]:
+    """Per-node deviations and cluster spread at common ``tau``, over
+    clocks rebuilt from a trace.
 
     ``clocks`` start as :func:`make_live_clocks` builds them (hardware
     model and initial ``adj``).  Every ``sync.complete`` event in
     ``events`` is applied, in time order, as
     ``clocks[node].adjust(time, correction)``, so on return each clock's
-    ``adjustments`` log is its node's correction history.  Each
-    ``(tau, max - min)`` point reads every clock at the same ``tau`` of
+    ``adjustments`` log is its node's correction history.  At each of
     the ascending ``taus``, after the corrections stamped at or before
-    it: Theorem 5(i)'s precision for nodes that never shared a sampler.
+    it, every clock is read at that same ``tau`` exactly as
+    :meth:`LiveCluster.sample_once` reads them: the returned
+    ``(series, spread)`` pair is what a cluster keeps, Theorem 5(i)'s
+    precision for nodes that never shared a sampler.
     """
     syncs = sorted((event for event in events
                     if event.kind == "sync.complete"),
                    key=lambda event: event.time)
-    series, applied = [], 0
+    series: dict[int, list[tuple[float, float]]] = {}
+    spread: list[tuple[float, float]] = []
+    applied = 0
     for tau in taus:
         while applied < len(syncs) and syncs[applied].time <= tau:
             event = syncs[applied]
             clocks[event.node].adjust(event.time, event.data["correction"])
             applied += 1
-        readings = [clock.read(tau) for clock in clocks.values()]
-        series.append((tau, max(readings) - min(readings)))
-    return series
+        _sample(clocks, tau, series, spread)
+    return series, spread

@@ -8,8 +8,6 @@ __all__ = [
     "extremal_clocks",
     "perfect_clocks",
     "run",
-    "sweep",
-    "replicate",
     "summarize",
     "RunResult",
     "Campaign",
@@ -25,11 +23,8 @@ __all__ = [
     "two_clique_scenario",
     "standard_strategy_mix",
     "warmup_for",
-    "geometric_grid",
-    "load_scenario",
     "scenario_from_config",
     "run_config",
-    "run_configs",
     "summarize_replications",
     "replicate_measure",
     "ReplicationSummary",
@@ -54,17 +49,16 @@ __all__ = [
 
 __getattr__, __dir__ = _lazy.exports(__name__, {
     "repro.runner.builders": (
-        "benign_scenario", "default_params", "geometric_grid",
-        "mobile_byzantine_scenario", "recovery_scenario",
-        "split_world_scenario", "standard_strategy_mix", "two_clique_scenario",
-        "warmup_for",
+        "benign_scenario", "default_params", "mobile_byzantine_scenario",
+        "recovery_scenario", "split_world_scenario", "standard_strategy_mix",
+        "two_clique_scenario", "warmup_for",
     ),
     "repro.runner.campaign": (
         "BisectResult", "Campaign", "CampaignResult", "RunPerf", "RunRecord",
-        "execute_run", "replicate", "run_config", "run_configs", "sweep",
+        "execute_run", "run_config",
     ),
     "repro.runner.config": (
-        "load_scenario", "scenario_from_config",
+        "scenario_from_config",
     ),
     "repro.runner.evaluation": (
         "Check", "EvaluationReport", "EvaluationSpec", "evaluate",

@@ -123,10 +123,3 @@ def warmup_for(params: ProtocolParams, intervals: float = 3.0) -> float:
     """A standard warmup: a few analysis intervals of settling time."""
     return intervals * params.t_interval
 
-
-def geometric_grid(lo: float, hi: float, points: int) -> list[float]:
-    """``points`` geometrically spaced values from ``lo`` to ``hi``."""
-    if points < 2 or lo <= 0 or hi <= lo:
-        raise ValueError(f"invalid grid spec lo={lo}, hi={hi}, points={points}")
-    step = (hi / lo) ** (1.0 / (points - 1))
-    return [lo * step ** i for i in range(points)]

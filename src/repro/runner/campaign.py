@@ -5,8 +5,9 @@ A *campaign* is an ordered list of declarative scenario configs (see
 Because every canonical scenario is now fully declarative — plans,
 clock models, delays, and topologies are registered specs — any
 campaign can fan out over a process pool, not just the four canned
-config scenarios.  This module replaces the old ``sweep()`` /
-``replicate()`` / ``run_many()`` / ``run_configs()`` quartet.
+config scenarios: a parameter sweep or a set of replications is a
+:meth:`Campaign.sweep` / :meth:`Campaign.replicate` campaign, and a
+run that must not fail is ``Campaign.run(isolate_failures=False)``.
 
 Features:
 
@@ -60,7 +61,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 __all__ = [
     "CACHE_FORMAT", "BACKENDS", "RunPerf", "RunRecord", "CampaignResult",
     "Campaign", "BisectResult", "execute_run", "run_record", "run_config",
-    "run_configs", "sweep", "replicate",
 ]
 
 _log = logging.getLogger(__name__)
@@ -584,20 +584,8 @@ class BisectResult:
 
 
 # ----------------------------------------------------------------------
-# Convenience functions (the old orchestration surface, record-based)
+# One config, in-process
 # ----------------------------------------------------------------------
-
-
-def sweep(base: Scenario, variations: Iterable[dict[str, Any]],
-          workers: int | None = None, **kwargs: Any) -> list[RunRecord]:
-    """Run ``base`` once per variation dict; records in input order."""
-    return Campaign.sweep(base, variations, **kwargs).run(workers=workers).records
-
-
-def replicate(base: Scenario, seeds: Sequence[int],
-              workers: int | None = None, **kwargs: Any) -> list[RunRecord]:
-    """Run ``base`` once per seed (for variance estimates)."""
-    return Campaign.replicate(base, seeds, **kwargs).run(workers=workers).records
 
 
 def run_config(config: dict[str, Any], warmup_intervals: float = 3.0,
@@ -607,21 +595,3 @@ def run_config(config: dict[str, Any], warmup_intervals: float = 3.0,
     return execute_run(0, config, warmup_intervals=warmup_intervals,
                        stream_measures=stream_measures, backend=backend)
 
-
-def run_configs(configs: Sequence[dict[str, Any]], workers: int | None = None,
-                warmup_intervals: float = 3.0) -> list[RunRecord]:
-    """Run many configs, optionally across processes.
-
-    The strict variant of :meth:`Campaign.run`: any worker failure
-    raises :class:`~repro.errors.CampaignError` identifying the config
-    by campaign index (instead of a bare traceback losing which config
-    died).
-
-    Raises:
-        ConfigurationError: On an empty config list or bad worker count.
-        CampaignError: Naming the index and config of a failed run.
-    """
-    if not configs:
-        raise ConfigurationError("run_configs needs at least one config")
-    campaign = Campaign(configs=list(configs), warmup_intervals=warmup_intervals)
-    return campaign.run(workers=workers, isolate_failures=False).records

@@ -142,16 +142,6 @@ def scenario_from_config(config: dict[str, Any]) -> Scenario:
     return scenario
 
 
-def load_scenario(path: str | pathlib.Path) -> Scenario:
-    """Read a JSON config file and build its scenario.
-
-    Raises:
-        ConfigurationError: As :func:`load_config`, or on an invalid
-            config.
-    """
-    return scenario_from_config(load_config(path))
-
-
 def load_config(path: str | pathlib.Path) -> dict[str, Any]:
     """Read a JSON config file (one scenario config object).
 

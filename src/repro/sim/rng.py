@@ -51,13 +51,5 @@ class RngRegistry:
             self._streams[name] = stream
         return stream
 
-    def fork(self, name: str) -> "RngRegistry":
-        """Return a child registry rooted at a derived seed.
-
-        Useful when a sub-component (e.g. one replication of a sweep)
-        needs its own namespace of streams.
-        """
-        return RngRegistry(derive_seed(self.seed, f"fork:{name}"))
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"RngRegistry(seed={self.seed}, streams={sorted(self._streams)})"

@@ -310,7 +310,7 @@ def test_live_processes_timeout_kills_and_reaps_every_child(monkeypatch,
 
 
 @pytest.mark.parametrize("flags, named", [
-    (["--json", "{tmp}/live.json"], "--json"),
+    (["--serve", "--telemetry"], "--serve, --telemetry"),
     (["--trace", "{tmp}/live.jsonl"], "--trace"),
     (["--serve"], "--serve"),
     (["--telemetry"], "--telemetry"),
@@ -338,14 +338,15 @@ def test_live_processes_refuses_flags_it_does_not_forward(
     assert list(tmp_path.iterdir()) == []
 
 
-def _fake_live_children(monkeypatch, failing=()):
+def _fake_live_children(monkeypatch, failing=(), truncated=()):
     """Replace ``Popen`` with children that write a canned ``--trace``
     stream for ``--seed 0``.  Node ``i`` samples at tau ``0.05 + 0.02 i``,
     then every 0.1 s up to 0.5, reading ``tau + 0.001 i``: samplers out
     of phase, so a bucket of them spans ~0.08 s.  Its first of 3
     ``sync.complete`` corrections cancels its seeded initial ``adj``, so
     the rebuilt clocks differ by drift alone.  It delivers ``10 + i``
-    datagrams; a node in ``failing`` exits 1."""
+    datagrams; a node in ``failing`` exits 1, and a node in
+    ``truncated`` is killed halfway through writing its trace."""
     import subprocess
 
     from repro.obs.bus import ObsEvent, events_to_jsonl
@@ -358,7 +359,8 @@ def _fake_live_children(monkeypatch, failing=()):
         def __init__(self, command, **kwargs):
             commands.append(command)
             node = int(command[command.index("--node-index") + 1])
-            self.returncode = 1 if node in failing else 0
+            self.returncode = (1 if node in failing
+                               else -9 if node in truncated else 0)
             events = []
             for step in range(5):
                 tau = 0.05 + 0.02 * node + 0.1 * step
@@ -375,9 +377,12 @@ def _fake_live_children(monkeypatch, failing=()):
                                    None, {"snapshot": {"counters": {
                                        "transport_delivered": {
                                            str(node): 10.0 + node}}}}))
+            text = events_to_jsonl(events)
+            if node in truncated:
+                text = text[:len(text) // 2]
             trace = command[command.index("--trace") + 1]
             with open(trace, "w") as handle:
-                handle.write(events_to_jsonl(events))
+                handle.write(text)
 
         def communicate(self, timeout=None):
             return None, None
@@ -389,11 +394,21 @@ def _fake_live_children(monkeypatch, failing=()):
     return commands
 
 
+def _table_row(out, label):
+    """The cells of the first table row of ``out`` that starts with
+    ``label`` (``"node 2"``), after the label."""
+    for line in out.splitlines():
+        if line.strip().startswith(label + " "):
+            return line.strip()[len(label):].split()
+    raise AssertionError(f"no {label!r} row in:\n{out}")
+
+
 def test_live_processes_rebuilds_the_children_clocks(monkeypatch, capsys):
     """Each child is an ordinary `repro live` run tracing to its own
     file; the parent replays their `sync.complete` corrections onto the
     seeded clocks and reads all of them at each common tau, so the
-    samplers' phase skew does not enter the spread."""
+    samplers' phase skew does not enter the spread.  It prints the
+    in-process report: per-node deviations, then transport counters."""
     from repro.rt.live import default_live_params, make_live_clocks
 
     commands = _fake_live_children(monkeypatch)
@@ -404,8 +419,12 @@ def test_live_processes_rebuilds_the_children_clocks(monkeypatch, capsys):
             for command in commands] == ["0", "1", "2", "3"]
     assert len({command[command.index("--trace") + 1]
                 for command in commands}) == 4
+    per_node, transport = out.split("transport counters")
     for node in range(4):
-        assert f"node {node}      3        5        {10 + node}" in out
+        syncs, samples = _table_row(per_node, f"node {node}")[:2]
+        assert (syncs, samples) == ("3", "5")
+        assert _table_row(transport, f"node {node}") == [
+            "-", str(10 + node), "-", "-", "-", "-"]
     # Corrected to adj == 0, clock i reads rate_i * tau: the spread
     # grows with tau and is largest at the last instant.
     readings = [clock.hardware.read(0.5) for clock in
@@ -421,6 +440,62 @@ def test_live_processes_fails_when_a_child_fails(monkeypatch, capsys):
     code = main(["live", "--processes", "--nodes", "4", "--duration", "0.5"])
     assert code == 1
     assert "common instants" in capsys.readouterr().out
+
+
+def test_live_processes_json_is_the_in_process_document(monkeypatch,
+                                                        tmp_path, capsys):
+    """`--processes --json` writes the in-process `LiveReport` document:
+    the same keys, the children's Sync counts and transport counters."""
+    import json
+
+    in_process = tmp_path / "loopback.json"
+    assert main(["live", "--transport", "loopback", "--nodes", "4",
+                 "--duration", "0.2", "--json", str(in_process)]) == 0
+    _fake_live_children(monkeypatch)
+    rebuilt = tmp_path / "processes.json"
+    assert main(["live", "--processes", "--nodes", "4", "--duration", "0.5",
+                 "--json", str(rebuilt)]) == 0
+    assert f"JSON written to {rebuilt}" in capsys.readouterr().out
+    document = json.loads(rebuilt.read_text())
+    assert set(document) == set(json.loads(in_process.read_text()))
+    assert document["rounds"] == {"0": 3, "1": 3, "2": 3, "3": 3}
+    for node in range(4):
+        assert document["transport_counters"][str(node)][
+            "transport_delivered"] == 10 + node
+    assert document["samples"] == 5
+    assert document["bounded"] is True
+    assert document["failed_nodes"] == []
+    assert document["probe_violations"] == 0
+
+
+def test_live_processes_short_run_reads_the_final_instant(monkeypatch,
+                                                          capsys):
+    """A run shorter than one `--sample-interval` is still judged, like
+    the in-process run: every clock is read once, at the duration."""
+    _fake_live_children(monkeypatch)
+    code = main(["live", "--processes", "--nodes", "4", "--duration", "0.05"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert "cluster spread at 1 common instant: " in out
+    assert _table_row(out, "node 0")[:2] == ["3", "1"]
+
+
+def test_live_processes_cut_trace_is_a_failed_node(monkeypatch, tmp_path,
+                                                   capsys):
+    """A child killed halfway through writing its trace names its node
+    as failed; the parent still reports, with no traceback."""
+    import json
+
+    _fake_live_children(monkeypatch, truncated=(2,))
+    report = tmp_path / "live.json"
+    code = main(["live", "--processes", "--nodes", "4", "--duration", "0.5",
+                 "--json", str(report)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert json.loads(report.read_text())["failed_nodes"] == [2]
+    assert captured.err == ("live: node 2 failed: its process exited "
+                            "non-zero, was killed or left no readable "
+                            "trace\n")
 
 
 def test_live_child_hosts_only_its_node(tmp_path, capsys):

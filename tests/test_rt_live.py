@@ -12,7 +12,7 @@ from repro.rt.live import (
     build_cluster,
     default_live_params,
     make_live_clocks,
-    replay_spread,
+    replay_samples,
     run_live,
 )
 from repro.sim.engine import Simulator
@@ -121,7 +121,8 @@ class TestReplaySpread:
     def test_rebuilt_clocks_match_the_simulated_ones_bit_for_bit(self):
         """On the simulator an event's time is the adjustment's tau, so
         the clocks rebuilt from ``sync.complete`` read exactly what the
-        sampler read, and their spread is the cluster's."""
+        sampler read, and their deviations and spread are the
+        cluster's."""
         params = default_live_params()
         loop = Simulator(seed=0)
         cluster = build_cluster(params, loop, seed=3, transport="loopback",
@@ -138,10 +139,13 @@ class TestReplaySpread:
         assert len(cluster.spread) >= 39 and len(syncs) > params.n
 
         rebuilt, previous = make_live_clocks(params, seed=3), -1.0
-        for tau, spread in cluster.spread:
+        for step, (tau, spread) in enumerate(cluster.spread):
             window = [event for event in syncs
                       if previous < event.time <= tau]
-            assert replay_spread(rebuilt, window, [tau]) == [(tau, spread)]
+            assert replay_samples(rebuilt, window, [tau]) == (
+                {node: [samples[step]]
+                 for node, samples in cluster.series.items()},
+                [(tau, spread)])
             assert {node: clock.read(tau)
                     for node, clock in rebuilt.items()} == sampled[tau]
             previous = tau
@@ -150,8 +154,8 @@ class TestReplaySpread:
             assert clock.adjustments == [
                 entry for entry in cluster.clocks[node].adjustments
                 if entry[0] <= taus[-1]]
-        assert replay_spread(make_live_clocks(params, seed=3), events,
-                             taus) == cluster.spread
+        assert replay_samples(make_live_clocks(params, seed=3), events,
+                              taus) == (cluster.series, cluster.spread)
 
 
 class TestTelemetryWiring:

@@ -35,10 +35,7 @@ from repro.runner.campaign import (
     Campaign,
     CampaignResult,
     RunRecord,
-    replicate,
     run_config,
-    run_configs,
-    sweep,
 )
 from repro.runner.store import ResultStore
 
@@ -76,17 +73,18 @@ class TestSerial:
         assert record.seed == 1
 
     def test_order_preserved(self):
-        records = run_configs([config(seed=s) for s in (5, 6, 7)])
+        records = Campaign([config(seed=s) for s in (5, 6, 7)]).run(
+            isolate_failures=False).records
         assert [r.seed for r in records] == [5, 6, 7]
         assert [r.index for r in records] == [0, 1, 2]
 
     def test_empty_rejected(self):
         with pytest.raises(ConfigurationError):
-            run_configs([])
+            Campaign([]).run(isolate_failures=False)
 
     def test_bad_workers_rejected(self):
         with pytest.raises(ConfigurationError):
-            run_configs([config()], workers=0)
+            Campaign([config()]).run(workers=0, isolate_failures=False)
 
     def test_byzantine_config(self):
         record = run_config(config(scenario="mobile-byzantine", duration=6.0))
@@ -113,7 +111,8 @@ class TestParallelDeterminism:
 
     def test_parallel_order_preserved(self):
         configs = [config(seed=s) for s in (9, 8, 7)]
-        records = run_configs(configs, workers=2)
+        records = Campaign(configs).run(workers=2,
+                                        isolate_failures=False).records
         assert [r.seed for r in records] == [9, 8, 7]
 
 
@@ -131,7 +130,7 @@ class TestFailureHandling:
     def test_strict_mode_raises_campaign_error(self):
         bad = dict(config(seed=3), duration=-1.0)
         with pytest.raises(CampaignError) as excinfo:
-            run_configs([config(seed=1), bad])
+            Campaign([config(seed=1), bad]).run(isolate_failures=False)
         assert excinfo.value.index == 1
         assert excinfo.value.config == bad
 
@@ -428,8 +427,9 @@ class TestConstruction:
 
     def test_sweep_and_replicate_records(self):
         base = benign_scenario(default_params(n=4, f=1), duration=1.0, seed=0)
-        records = sweep(base, [{"seed": 1}, {"seed": 2}, {"duration": 2.0}])
+        records = Campaign.sweep(
+            base, [{"seed": 1}, {"seed": 2}, {"duration": 2.0}]).run().records
         assert [r.seed for r in records] == [1, 2, 0]
         assert records[2].duration == 2.0
-        reps = replicate(base, seeds=[4, 5])
+        reps = Campaign.replicate(base, seeds=[4, 5]).run().records
         assert [r.seed for r in reps] == [4, 5]

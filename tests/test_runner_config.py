@@ -9,7 +9,7 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.net.links import DelaySpec, JitteredDelay, UniformDelay
 from repro.runner.config import (
-    load_scenario,
+    load_config,
     params_from_config,
     scenario_from_config,
 )
@@ -158,24 +158,24 @@ class TestLoadScenario:
     def test_round_trip_via_file(self, tmp_path):
         path = tmp_path / "experiment.json"
         path.write_text(json.dumps(BASE))
-        scenario = load_scenario(path)
+        scenario = scenario_from_config(load_config(path))
         assert scenario.duration == 2.0
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigurationError, match="not found"):
-            load_scenario(tmp_path / "nope.json")
+            scenario_from_config(load_config(tmp_path / "nope.json"))
 
     def test_invalid_json(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")
         with pytest.raises(ConfigurationError, match="invalid JSON"):
-            load_scenario(path)
+            scenario_from_config(load_config(path))
 
     def test_non_object_root(self, tmp_path):
         path = tmp_path / "list.json"
         path.write_text("[1, 2]")
         with pytest.raises(ConfigurationError, match="object"):
-            load_scenario(path)
+            scenario_from_config(load_config(path))
 
     def test_cli_integration(self, tmp_path, capsys):
         from repro.cli import main

@@ -10,11 +10,10 @@ from repro.errors import AdversaryError
 from repro.runner.builders import (
     benign_scenario,
     default_params,
-    geometric_grid,
     mobile_byzantine_scenario,
     recovery_scenario,
 )
-from repro.runner.campaign import replicate, sweep
+from repro.runner.campaign import Campaign
 from repro.runner.experiment import run, summarize
 from repro.runner.scenario import extremal_clocks, perfect_clocks
 
@@ -116,7 +115,8 @@ class TestWiring:
 class TestSweepsAndHelpers:
     def test_sweep_replaces_fields(self):
         base = benign_scenario(fast_params(), duration=1.0)
-        records = sweep(base, [{"seed": 1}, {"seed": 2}, {"duration": 2.0}])
+        records = Campaign.sweep(
+            base, [{"seed": 1}, {"seed": 2}, {"duration": 2.0}]).run().records
         assert len(records) == 3
         assert [r.seed for r in records[:2]] == [1, 2]
         assert records[2].duration == 2.0
@@ -124,19 +124,11 @@ class TestSweepsAndHelpers:
 
     def test_replicate_runs_per_seed(self):
         base = benign_scenario(fast_params(), duration=1.0)
-        records = replicate(base, seeds=[1, 2, 3])
+        records = Campaign.replicate(base, seeds=[1, 2, 3]).run().records
         assert [r.seed for r in records] == [1, 2, 3]
 
     def test_summarize(self):
         assert summarize([1.0, 2.0, 3.0]) == (1.0, 2.0, 3.0)
-
-    def test_geometric_grid(self):
-        grid = geometric_grid(1.0, 8.0, 4)
-        assert grid == pytest.approx([1.0, 2.0, 4.0, 8.0])
-
-    def test_geometric_grid_validation(self):
-        with pytest.raises(ValueError):
-            geometric_grid(1.0, 0.5, 3)
 
 
 class TestRunResultMeasures:

@@ -167,6 +167,26 @@ def test_cli_is_import_terminal():
     assert tool.CLI_IMPORTERS_ALLOWED == {"repro.__main__", "repro.cli"}
 
 
+def test_subprocess_in_the_cli_is_a_finding():
+    """The CLI parses and prints: the `--processes` parent's own
+    ``import subprocess`` is flagged there, however it is spelled, and
+    stays legal in ``repro.rt.live``, which spawns the children."""
+    tool = _load_tool()
+    source = (
+        "import argparse\n"
+        "import subprocess\n"
+        "from subprocess import Popen\n"
+    )
+    collector = tool.ImportCollector("repro.cli")
+    collector.visit(ast.parse(source))
+    findings = [(lineno, tool.violation("repro.cli", target))
+                for lineno, target in collector.imports]
+    assert [lineno for lineno, finding in findings if finding] == [2, 3]
+    assert all("repro.rt.live spawns processes" in finding
+               for _, finding in findings if finding)
+    assert tool.violation("repro.rt.live", "subprocess") is None
+
+
 def test_asyncio_datagram_transport_is_a_finding():
     """UdpEndpoint is the only UDP mechanism: asyncio's datagram
     endpoint or protocol named anywhere in the package is flagged."""

@@ -16,7 +16,7 @@ TOOL = ROOT / "tools" / "src_lines.py"
 #: Ratchet on the size of ``src/``: its code-only line count when this
 #: number was last set.  A change that has to raise it edits the number
 #: and explains why in CHANGES.md.
-SRC_CODE_BUDGET = 9951
+SRC_CODE_BUDGET = 9948
 
 #: 12 lines: a module docstring (2), a comment, a blank line, a class
 #: whose docstring spans two lines, and two string literals that are

@@ -16,6 +16,9 @@ ranks, which keeps the store and evaluation layers importable without
 dragging in the executor and structurally prevents cycles.  And nothing
 inside the package may import ``repro.cli`` — the CLI consumes the
 stack, never the other way around (``repro.__main__`` excepted).
+The CLI itself parses arguments and prints reports: it may not import
+``subprocess``, because spawning a live cluster's processes is
+:func:`repro.rt.live.run_processes`' job.
 Nor may any module import ``pickle``, ``shelve`` or ``marshal``: the
 :class:`~repro.runner.store.ResultStore` is the only persistence, so
 nothing a campaign reads back can execute code.
@@ -119,6 +122,10 @@ RT_FORBIDDEN_MODULES = frozenset({"heapq"})
 CLI_MODULE = f"{PACKAGE}.cli"
 CLI_IMPORTERS_ALLOWED = frozenset({f"{PACKAGE}.__main__", CLI_MODULE})
 
+# The CLI parses and prints; a live cluster's child processes are
+# spawned and reaped by repro.rt.live.run_processes.
+CLI_FORBIDDEN_MODULES = frozenset({"subprocess"})
+
 
 def module_name(path: pathlib.Path) -> str:
     """Dotted module name of a source file under ``src/``."""
@@ -209,6 +216,9 @@ def violation(module: str, target: str) -> str | None:
     if (target == CLI_MODULE or target.startswith(CLI_MODULE + ".")) \
             and module not in CLI_IMPORTERS_ALLOWED:
         return f"{module} imports {CLI_MODULE} (the CLI is the top of the stack)"
+    if module == CLI_MODULE and target.split(".")[0] in CLI_FORBIDDEN_MODULES:
+        return (f"{module} imports {target} (the CLI parses and prints; "
+                f"repro.rt.live spawns processes)")
     source_rank, target_rank = runner_rank(module), runner_rank(target)
     if (source_rank is not None and target_rank is not None
             and target_rank >= source_rank):
@@ -251,7 +261,8 @@ def main() -> int:
     print(f"layering clean: {kernel} kernel modules (no runtime imports "
           f"of obs/runner), {ranked} ranked runner modules (results flow "
           f"upward), nothing imports the CLI or {'/'.join(sorted(SERIALIZERS))}"
-          f", no scipy, no asyncio datagram transport, no heap in repro.rt")
+          f", no scipy, no asyncio datagram transport, no heap in repro.rt, "
+          f"no subprocess in the CLI")
     return 0
 
 
