@@ -8,18 +8,28 @@ flight (it corrupts *processors*, not links), but link outages can be
 injected for robustness experiments beyond the paper's model — a down
 link silently drops messages, which the estimation procedure of
 Definition 4 tolerates via its timeout.
+
+A message costs two heap operations and no per-message objects beyond
+its :class:`~repro.runtime.messages.Message` tuple and heap entry.
+The send looks up its link's cached state — the edge check and the
+delay model's bound draw over the link's RNG stream — draws the delay,
+builds the ``Message`` with ``tuple.__new__`` and posts the delivery
+``(time, seq, Network._deliver, message)`` through
+:meth:`~repro.sim.engine.Simulator.post`, which builds no
+:class:`~repro.sim.events.Event`.
 """
 
 from __future__ import annotations
 
 import random
-from functools import partial
 from typing import TYPE_CHECKING, Callable
 
 from repro.errors import ConfigurationError, TopologyError
 from repro.net.links import DelayModel
 from repro.runtime.messages import Message
 from repro.net.topology import Topology
+
+_new_message = tuple.__new__
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.runtime.api import MessageHandler
@@ -32,7 +42,7 @@ class Network:
     Args:
         sim: The owning simulator.
         topology: Which pairs of nodes may exchange messages.
-        delay_model: Per-message delay sampler bounded by ``delta``.
+        delay_model: Per-link delay draws bounded by ``delta``.
 
     Attributes:
         messages_sent: Count of send attempts.
@@ -54,13 +64,13 @@ class Network:
         self._processes: dict[int, "MessageHandler"] = {}
         self._down_links: set[frozenset[int]] = set()
         self._next_msg_id = 0
-        # Per-link caches: the edge check, RNG stream, and delivery tag
-        # for a directed link never change, so they are resolved once
-        # instead of rebuilding a "link:s->r" registry key per message.
-        # Stream names are unchanged, so draws stay byte-identical per
-        # seed (streams are independent by name, so eagerly creating one
-        # for an edge-less pair perturbs nothing).
-        self._link_state: dict[tuple[int, int], tuple[bool, random.Random, str]] = {}
+        # Per-link caches: the edge check and the delay model's bound
+        # draw over the link's RNG stream never change, so they are
+        # resolved once instead of per message.  Stream names are
+        # unchanged, so draws stay byte-identical per seed (streams are
+        # independent by name, so eagerly creating one for an edge-less
+        # pair perturbs nothing).
+        self._link_state: dict[tuple[int, int], tuple[bool, Callable[[], float] | None]] = {}
         self._loss_rngs: dict[tuple[int, int], random.Random] = {}
         self._taps: list[Callable[[Message], None]] = []
         self.obs = None
@@ -126,10 +136,11 @@ class Network:
         key = (sender, recipient)
         state = self._link_state.get(key)
         if state is None:
-            state = (self.topology.has_edge(sender, recipient),
-                     self.sim.rngs.stream(f"link:{sender}->{recipient}"),
-                     f"deliver:{sender}->{recipient}")
-            self._link_state[key] = state
+            connected = self.topology.has_edge(sender, recipient)
+            rng = self.sim.rngs.stream(f"link:{sender}->{recipient}")
+            state = self._link_state[key] = (
+                connected,
+                self.delay_model.link_draw(sender, recipient, rng) if connected else None)
         if not state[0] or (self._down_links and self.link_is_down(sender, recipient)):
             self.messages_dropped += 1
             if self.obs is not None:
@@ -140,7 +151,6 @@ class Network:
             # Random loss is outside the paper's link model (Section 2.2
             # links are reliable); it exists for robustness experiments —
             # a lost message surfaces as an estimation timeout.
-            key = (sender, recipient)
             loss_rng = self._loss_rngs.get(key)
             if loss_rng is None:
                 loss_rng = self.sim.rngs.stream(f"loss:{sender}->{recipient}")
@@ -151,16 +161,13 @@ class Network:
                     self.obs.publish("net.drop", node=sender,
                                      recipient=recipient, reason="loss")
                 return
-        rng, tag = state[1], state[2]
-        delay = self.delay_model.sample(sender, recipient, rng)
         sim = self.sim
         now = sim.now
+        arrival = now + state[1]()
         msg_id = self._next_msg_id
         self._next_msg_id = msg_id + 1
-        message = Message(sender, recipient, payload, now, now + delay, msg_id)
-        # Bound method + payload instead of a per-message closure: the
-        # partial carries the Message, so no cell objects are built.
-        sim.schedule(delay, partial(self._deliver, message), tag=tag)
+        sim.post(arrival, self._deliver, _new_message(
+            Message, (sender, recipient, payload, now, arrival, msg_id)))
 
     def broadcast(self, sender: int, payload: object) -> None:
         """Send ``payload`` to every neighbor of ``sender``."""
@@ -168,7 +175,7 @@ class Network:
             self.send(sender, neighbor, payload)
 
     def _deliver(self, message: Message) -> None:
-        if self.link_is_down(message.sender, message.recipient):
+        if self._down_links and self.link_is_down(message.sender, message.recipient):
             # Link failed while the message was in flight.
             self.messages_dropped += 1
             if self.obs is not None:
@@ -183,9 +190,8 @@ class Network:
                              sent_at=message.sent_at)
         for tap in self._taps:
             tap(message)
-        handler = self._processes.get(message.recipient)
-        if handler is not None:
-            handler.deliver(message)
+        if message.recipient in self._processes:
+            self._processes[message.recipient].deliver(message)
 
     # ------------------------------------------------------------------
     # Link failure injection (beyond the paper's model)

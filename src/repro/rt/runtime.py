@@ -71,6 +71,10 @@ class RtTimerHandle(TimerHandle):
     def cancelled(self) -> bool:
         return self._cancelled
 
+    @property
+    def fired(self) -> bool:
+        return self._fired
+
 
 class AsyncioRuntime(NodeRuntime):
     """A protocol node running on an event loop and a transport.

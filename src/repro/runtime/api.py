@@ -17,7 +17,8 @@ runtime implementation:
 * cancelling a timer that already fired is a no-op;
 * cancelling twice is a no-op;
 * ``cancelled`` is True iff :meth:`TimerHandle.cancel` was called while
-  the timer was still pending.
+  the timer was still pending; ``fired`` is True once the callback ran.
+  A handle with neither flag set is pending.
 
 These rules are verified for every runtime by
 ``tests/test_runtime_timers.py``.
@@ -67,6 +68,11 @@ class TimerHandle(ABC):
     @abstractmethod
     def cancelled(self) -> bool:
         """Whether :meth:`cancel` was called before the timer fired."""
+
+    @property
+    @abstractmethod
+    def fired(self) -> bool:
+        """Whether the timer's callback already ran."""
 
 
 class NodeRuntime(ABC):

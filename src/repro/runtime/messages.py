@@ -11,20 +11,23 @@ controlling strategy) can send as that node.
 These types live in :mod:`repro.runtime` rather than :mod:`repro.net`
 because they are part of the protocol/engine seam: protocol code may
 depend on them, transport code constructs them.
+
+:class:`Message` is an immutable ``NamedTuple``: a simulation builds
+one per delivery, and :class:`~repro.net.network.Network` builds it
+with ``tuple.__new__`` in one C call, about a quarter of a frozen
+dataclass's ``__init__``.  The payloads :class:`Ping` and :class:`Pong`
+stay frozen dataclasses, because :mod:`repro.rt.codec` derives their
+wire layout from ``dataclasses.fields``/``asdict``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, NamedTuple
 
 
-@dataclass(frozen=True, slots=True)
-class Message:
+class Message(NamedTuple):
     """An authenticated, delivered network message.
-
-    Slotted: simulations create one instance per delivery, so dropping
-    the per-instance ``__dict__`` measurably shrinks the hot path.
 
     Attributes:
         sender: Node that sent the message (authenticated identity).

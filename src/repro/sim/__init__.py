@@ -1,9 +1,9 @@
 """Discrete-event simulation substrate.
 
-This subpackage is the foundation everything else runs on: a
-deterministic event queue (:mod:`repro.sim.events`), the simulation
-engine that owns real time (:mod:`repro.sim.engine`), named random
-streams (:mod:`repro.sim.rng`), and the simulator-backed runtime
+This subpackage is the foundation everything else runs on: cancellable
+events (:mod:`repro.sim.events`), the simulation engine that owns real
+time and the deterministic event heap (:mod:`repro.sim.engine`), named
+random streams (:mod:`repro.sim.rng`), and the simulator-backed runtime
 adapter (:mod:`repro.sim.runtime`) that plugs the engine into the
 :mod:`repro.runtime` seam.
 """
@@ -14,7 +14,6 @@ __all__ = [
     "Simulator",
     "EnginePerfCounters",
     "Event",
-    "EventQueue",
     "Process",
     "LocalTimer",
     "SimRuntime",
@@ -31,7 +30,7 @@ __getattr__, __dir__ = _lazy.exports(__name__, {
         "EnginePerfCounters", "Simulator",
     ),
     "repro.sim.events": (
-        "Event", "EventQueue",
+        "Event",
     ),
     "repro.sim.rng": (
         "RngRegistry", "derive_seed",

@@ -1,7 +1,8 @@
 """The discrete-event simulation engine.
 
 :class:`Simulator` owns simulated real time (the paper's ``tau``), the
-event queue, and the registry of named random streams.  Everything else
+event heap (its two entry shapes are described in
+:mod:`repro.sim.events`), and the registry of named random streams.  Everything else
 in the package — clocks, links, protocol processes, the adversary — is
 driven by callbacks scheduled here.
 
@@ -26,11 +27,13 @@ re-exported through :mod:`repro.metrics`.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heappop, heappush
+from math import inf
 from time import perf_counter
-from typing import Callable
+from typing import Any, Callable
 
 from repro.errors import SimulationError
-from repro.sim.events import Event, EventQueue
+from repro.sim.events import Event
 from repro.sim.rng import RngRegistry
 
 
@@ -85,7 +88,12 @@ class Simulator:
     def __init__(self, seed: int = 0) -> None:
         self.now: float = 0.0
         self.rngs = RngRegistry(seed)
-        self._queue = EventQueue()
+        # One heap of (time, seq, fn, arg) entries; see repro.sim.events.
+        self._heap: list[tuple[float, int, Any, Any]] = []
+        self._next_seq = 0
+        self._live = 0
+        self._cancelled_total = 0
+        self._heap_high_water = 0
         self._events_processed = 0
         self._run_wall_time = 0.0
         self._running = False
@@ -106,7 +114,7 @@ class Simulator:
         """
         if delay < 0:
             raise SimulationError(f"cannot schedule {delay!r} seconds in the past")
-        return self._queue.push(self.now + delay, callback, tag)
+        return self._push(self.now + delay, callback, tag)
 
     def schedule_at(self, time: float, callback: Callable[[], None], tag: str = "") -> Event:
         """Schedule ``callback`` at absolute simulated time ``time``.
@@ -118,7 +126,7 @@ class Simulator:
             raise SimulationError(
                 f"cannot schedule at t={time!r}; simulator time is already {self.now!r}"
             )
-        return self._queue.push(time, callback, tag)
+        return self._push(time, callback, tag)
 
     def time(self) -> float:
         """asyncio's ``loop.time()``: the current simulated time ``now``."""
@@ -133,7 +141,30 @@ class Simulator:
         :class:`~repro.rt.runtime.AsyncioRuntime` and its transports run
         deterministically on the simulator.
         """
-        return self._queue.push(max(when, self.now), callback)
+        return self._push(max(when, self.now), callback, "")
+
+    def post(self, time: float, fn: Callable[[Any], None] | None, arg: Any) -> None:
+        """Schedule the uncancellable call ``fn(arg)`` at ``time``.
+
+        The message-delivery push: no :class:`Event` is built and no
+        handle returned.  Every heap entry goes through here and shares
+        one ``seq`` counter and every counter of :meth:`perf_counters`;
+        ``fn=None`` marks ``arg`` as a cancellable :class:`Event`
+        (:meth:`schedule_at` and friends).  The caller guarantees
+        ``time >= now``.
+        """
+        seq = self._next_seq
+        self._next_seq = seq + 1
+        heap = self._heap
+        heappush(heap, (time, seq, fn, arg))
+        self._live += 1
+        if len(heap) > self._heap_high_water:
+            self._heap_high_water = len(heap)
+
+    def _push(self, time: float, callback: Callable[[], None], tag: str) -> Event:
+        event = Event(time, self._next_seq, callback, tag, self)
+        self.post(event.time, None, event)
+        return event
 
     def cancel(self, event: Event) -> None:
         """Cancel a previously scheduled event (no-op if already fired).
@@ -141,42 +172,25 @@ class Simulator:
         Equivalent to ``event.cancel()``: cancellation is queue-honest
         either way (see :mod:`repro.sim.events`).
         """
-        self._queue.cancel(event)
+        event.cancel()
+
+    def _note_cancel(self) -> None:
+        """Accounting hook called by :meth:`Event.cancel` exactly once."""
+        self._live -= 1
+        self._cancelled_total += 1
 
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
 
     def step(self) -> bool:
-        """Execute the single earliest pending event.
-
-        Shares :meth:`run`'s wall-time and observability accounting, so
-        ``EnginePerfCounters.events_per_second`` stays honest for
-        step-driven sessions (an interactive debugger single-stepping
-        the schedule) and the bus sees the same ``engine.run_end``
-        shape with ``executed`` 0 or 1.
+        """Execute the single earliest pending event: ``run(max_events=1)``.
 
         Returns:
             ``True`` if an event was executed, ``False`` if the queue was
             empty.
         """
-        executed = 0
-        wall_start = perf_counter()
-        try:
-            event = self._queue.pop_due(None)
-            if event is not None:
-                self.now = event.time
-                executed = 1
-                event.callback()
-        finally:
-            self._events_processed += executed
-            self._run_wall_time += perf_counter() - wall_start
-        if self.obs is not None:
-            # Deterministic counters only, like run() (see below).
-            self.obs.publish("engine.run_end", executed=executed,
-                             events_processed=self._events_processed,
-                             pending_events=len(self._queue))
-        return executed == 1
+        return self.run(max_events=1) == 1
 
     def run(self, until: float | None = None, max_events: int | None = None) -> int:
         """Run events in time order.
@@ -204,21 +218,31 @@ class Simulator:
         self._stop_requested = False
         executed = 0
         exhausted = False
-        pop_due = self._queue.pop_due
+        heap = self._heap
+        horizon = inf if until is None else until
+        limit = inf if max_events is None else max_events
         wall_start = perf_counter()
         try:
-            while True:
-                if self._stop_requested:
-                    break
-                if max_events is not None and executed >= max_events:
-                    break
-                event = pop_due(until)
-                if event is None:
+            while executed < limit and not self._stop_requested:
+                if not heap:
                     exhausted = True
                     break
-                self.now = event.time
+                time, _, fn, arg = heap[0]
+                if fn is None and arg._cancelled:
+                    heappop(heap)
+                    continue
+                if time > horizon:
+                    exhausted = True
+                    break
+                heappop(heap)
+                self._live -= 1
+                self.now = time
                 executed += 1
-                event.callback()
+                if fn is None:
+                    arg._fired = True
+                    arg.callback()
+                else:
+                    fn(arg)
         finally:
             self._events_processed += executed
             self._run_wall_time += perf_counter() - wall_start
@@ -230,7 +254,7 @@ class Simulator:
             # break byte-identical event streams across identical runs.
             self.obs.publish("engine.run_end", executed=executed,
                              events_processed=self._events_processed,
-                             pending_events=len(self._queue))
+                             pending_events=self._live)
         return executed
 
     def stop(self) -> None:
@@ -249,23 +273,22 @@ class Simulator:
     @property
     def pending_events(self) -> int:
         """Number of live (not cancelled, not yet fired) events."""
-        return len(self._queue)
+        return self._live
 
     def perf_counters(self) -> EnginePerfCounters:
         """Snapshot the engine's lifetime performance counters."""
-        queue = self._queue
-        pushed = queue.pushed_total
-        cancelled = queue.cancelled_total
+        pushed = self._next_seq
+        cancelled = self._cancelled_total
         wall = self._run_wall_time
         return EnginePerfCounters(
             events_processed=self._events_processed,
             events_pushed=pushed,
             events_cancelled=cancelled,
             cancelled_ratio=(cancelled / pushed) if pushed else 0.0,
-            heap_high_water=queue.heap_high_water,
+            heap_high_water=self._heap_high_water,
             run_wall_time=wall,
             events_per_second=(self._events_processed / wall) if wall > 0.0 else 0.0,
-            pending_events=len(queue),
+            pending_events=self._live,
         )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

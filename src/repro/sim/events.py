@@ -1,18 +1,28 @@
 """Event primitives for the discrete-event simulator.
 
-The simulator is a classic event-queue design: an :class:`EventQueue`
-orders :class:`Event` objects by simulated real time, breaking ties with
-a monotonically increasing sequence number so that execution order is
-fully deterministic for a given schedule of calls.
+The :class:`~repro.sim.engine.Simulator` keeps one heap of 4-tuples
+ordered by ``(time, seq)``; ``seq`` is one counter shared by every
+entry, so execution order is fully deterministic for a given schedule
+of calls and the rest of a tuple is never compared.  An entry has one
+of two shapes:
 
-Events are *cancellable*, and cancellation is **queue-honest**: every
-event knows its owning queue, so cancelling — whether through the
-:meth:`Event.cancel` handle or through :meth:`EventQueue.cancel` — is a
-single contract with one accounting path.  The rules:
+* ``(time, seq, None, event)`` — a cancellable :class:`Event` (timers,
+  samplers, adversary moves, ``call_at``), pushed by
+  :meth:`~repro.sim.engine.Simulator.schedule_at` and friends;
+* ``(time, seq, fn, arg)`` — the uncancellable call ``fn(arg)`` with no
+  :class:`Event` object, pushed by
+  :meth:`~repro.sim.engine.Simulator.post`.  Every message delivery
+  takes this shape: it is never cancelled (a link that fails in flight
+  drops the message at delivery time), so it needs no handle.
 
-* Cancelling a pending event immediately decrements the queue's live
-  count (``len(queue)`` never overcounts); the heap entry is discarded
-  lazily on a later pop.
+Cancellation is **queue-honest**: every event knows its owning
+simulator, so cancelling — through :meth:`Event.cancel` or
+:meth:`~repro.sim.engine.Simulator.cancel` — is a single contract with
+one accounting path.  The rules:
+
+* Cancelling a pending event immediately decrements the simulator's
+  live count (``pending_events`` never overcounts); the heap entry is
+  discarded lazily when it reaches the head.
 * Cancelling an event that already fired is a no-op (a fired event
   cannot be un-executed, and the count must not go negative).
 * Cancelling twice is a no-op.
@@ -20,58 +30,51 @@ single contract with one accounting path.  The rules:
 This is how local-clock timers are retargeted when a hardware clock's
 rate changes, and how the adversary kills a victim's pending alarms on
 break-in.
-
-Internally the heap stores ``(time, seq, event)`` tuples so that heap
-sifting compares native floats/ints in C instead of calling a Python
-``__lt__``; ``seq`` is unique per queue, so the event object itself is
-never compared.
 """
 
 from __future__ import annotations
 
-from heapq import heappop, heappush
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
-from repro.errors import SimulationError
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.sim.engine import Simulator
 
 
 class Event:
     """A scheduled callback at a simulated real time.
 
-    Instances are created by :class:`EventQueue.push` (normally via
-    :class:`repro.sim.engine.Simulator`), not directly by user code.
+    Instances are created by :class:`repro.sim.engine.Simulator`, not
+    directly by user code.
 
     Attributes:
         time: Simulated real time at which the callback fires.
-        seq: Tie-break sequence number; unique per queue, increasing.
+        seq: Tie-break sequence number; unique per simulator, increasing.
         callback: Zero-argument callable invoked when the event fires.
         tag: Free-form label used in traces and debugging output.
     """
 
-    __slots__ = ("time", "seq", "callback", "tag", "_cancelled", "_fired", "_queue")
+    __slots__ = ("time", "seq", "callback", "tag", "_cancelled", "_fired", "_owner")
 
     def __init__(self, time: float, seq: int, callback: Callable[[], None],
-                 tag: str = "", queue: "EventQueue | None" = None):
+                 tag: str, owner: "Simulator"):
         self.time = float(time)
         self.seq = seq
         self.callback = callback
         self.tag = tag
         self._cancelled = False
         self._fired = False
-        self._queue = queue
+        self._owner = owner
 
     def cancel(self) -> None:
-        """Mark this event dead and update its queue's live count.
+        """Mark this event dead and update its simulator's live count.
 
         No-op when the event already fired or was already cancelled, so
-        the owning queue's accounting can never go negative.
+        the owner's accounting can never go negative.
         """
         if self._cancelled or self._fired:
             return
         self._cancelled = True
-        queue = self._queue
-        if queue is not None:
-            queue._note_cancel()
+        self._owner._note_cancel()
 
     @property
     def cancelled(self) -> bool:
@@ -83,9 +86,6 @@ class Event:
         """Whether this event was already popped for execution."""
         return self._fired
 
-    def __lt__(self, other: "Event") -> bool:
-        return (self.time, self.seq) < (other.time, other.seq)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         if self._cancelled:
             state = "cancelled"
@@ -94,127 +94,3 @@ class Event:
         else:
             state = "pending"
         return f"Event(t={self.time:.6f}, seq={self.seq}, tag={self.tag!r}, {state})"
-
-
-class EventQueue:
-    """A deterministic priority queue of :class:`Event` objects.
-
-    Ordering is by ``(time, seq)``.  The sequence counter belongs to the
-    queue, so two queues built from identical call sequences produce
-    identical execution orders.
-
-    The queue also keeps lifetime performance counters (see
-    :attr:`fired_total`, :attr:`cancelled_total`, :attr:`pushed_total`,
-    :attr:`heap_high_water`), surfaced through
-    :meth:`repro.sim.engine.Simulator.perf_counters`.
-
-    Attributes:
-        fired_total: Number of events handed out for execution.
-        cancelled_total: Number of events cancelled while pending.
-        heap_high_water: Largest heap size observed (including
-            not-yet-collected cancelled entries).
-    """
-
-    def __init__(self) -> None:
-        self._heap: list[tuple[float, int, Event]] = []
-        self._next_seq = 0
-        self._live = 0
-        self.fired_total = 0
-        self.cancelled_total = 0
-        self.heap_high_water = 0
-
-    @property
-    def pushed_total(self) -> int:
-        """Number of events ever pushed onto this queue."""
-        return self._next_seq
-
-    def push(self, time: float, callback: Callable[[], None], tag: str = "") -> Event:
-        """Schedule ``callback`` at simulated time ``time``.
-
-        Returns:
-            The :class:`Event` handle, which supports :meth:`Event.cancel`.
-        """
-        seq = self._next_seq
-        self._next_seq = seq + 1
-        event = Event(time, seq, callback, tag, self)
-        heap = self._heap
-        heappush(heap, (event.time, seq, event))
-        self._live += 1
-        if len(heap) > self.heap_high_water:
-            self.heap_high_water = len(heap)
-        return event
-
-    def pop(self) -> Event:
-        """Remove and return the earliest live event, marking it fired.
-
-        Raises:
-            SimulationError: If the queue holds no live events.
-        """
-        heap = self._heap
-        while heap:
-            event = heappop(heap)[2]
-            if event._cancelled:
-                continue
-            event._fired = True
-            self._live -= 1
-            self.fired_total += 1
-            return event
-        raise SimulationError("pop() from an empty event queue")
-
-    def pop_due(self, bound: float | None = None) -> Event | None:
-        """Pop the earliest live event firing at or before ``bound``.
-
-        This is the engine's fast path: one heap traversal replaces the
-        ``peek_time()`` + ``pop()`` pair.  Cancelled entries encountered
-        on the way are discarded.
-
-        Args:
-            bound: Inclusive time horizon; ``None`` means no horizon.
-
-        Returns:
-            The fired :class:`Event`, or ``None`` when the queue has no
-            live event due at or before ``bound``.
-        """
-        heap = self._heap
-        while heap:
-            entry = heap[0]
-            event = entry[2]
-            if event._cancelled:
-                heappop(heap)
-                continue
-            if bound is not None and entry[0] > bound:
-                return None
-            heappop(heap)
-            event._fired = True
-            self._live -= 1
-            self.fired_total += 1
-            return event
-        return None
-
-    def peek_time(self) -> float | None:
-        """Return the time of the earliest live event, or ``None`` if empty."""
-        heap = self._heap
-        while heap and heap[0][2]._cancelled:
-            heappop(heap)
-        if not heap:
-            return None
-        return heap[0][0]
-
-    def cancel(self, event: Event) -> None:
-        """Cancel ``event`` if it is still pending (no-op otherwise).
-
-        Equivalent to ``event.cancel()`` — both routes share the same
-        accounting, so double-cancel and cancel-after-fire are safe.
-        """
-        event.cancel()
-
-    def _note_cancel(self) -> None:
-        """Accounting hook called by :meth:`Event.cancel` exactly once."""
-        self._live -= 1
-        self.cancelled_total += 1
-
-    def __len__(self) -> int:
-        return self._live
-
-    def __bool__(self) -> bool:
-        return self._live > 0

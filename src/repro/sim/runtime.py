@@ -53,6 +53,10 @@ class LocalTimer(TimerHandle):
     def cancelled(self) -> bool:
         return self.event.cancelled
 
+    @property
+    def fired(self) -> bool:
+        return self.event.fired
+
 
 class SimRuntime(NodeRuntime):
     """One node's runtime over the discrete-event simulator.
@@ -83,10 +87,12 @@ class SimRuntime(NodeRuntime):
     def local_now(self) -> float:
         """Current reading of this node's logical clock.
 
-        Overridden (rather than inherited) to keep the hot path at one
-        call: clock reads happen on every message and sample.
+        ``LogicalClock.read`` inlined (``H(now) + adj``) to keep the hot
+        path at one frame over the hardware read: clock reads happen on
+        every message and sample.
         """
-        return self.clock.read(self.sim.now)
+        clock = self.clock
+        return clock.hardware.read(self.sim.now) + clock.adj
 
     # -- timers -------------------------------------------------------------
 

@@ -300,7 +300,7 @@ def simulate_run(spec: VectorSpec) -> VectorRunOutput:
         return _CoreRandom(int.from_bytes(digest[:8], "big")).random
 
     delay_model = spec.delay_model
-    dm_sample = delay_model.sample
+    link_draw = delay_model.link_draw
     uniform_fast = type(delay_model) is UniformDelay
     if uniform_fast:
         dm_lo, dm_hi, dm_delta = delay_model.lo, delay_model.hi, delay_model.delta
@@ -309,7 +309,7 @@ def simulate_run(spec: VectorSpec) -> VectorRunOutput:
     dm_span = dm_hi - dm_lo
     loss_rate = spec.loss_rate
     draw_fast: list[Callable[[], float] | None] = [None] * nn
-    link_rngs: list[Any] = [None] * nn
+    link_draws: list[Callable[[], float] | None] = [None] * nn
     loss_draws: list[Callable[[], float] | None] = [None] * nn
 
     include_self = params.include_self
@@ -450,10 +450,11 @@ def simulate_run(spec: VectorSpec) -> VectorRunOutput:
                 if delay > dm_delta:
                     delay = dm_delta
             else:
-                rng = link_rngs[key]
-                if rng is None:
-                    rng = link_rngs[key] = stream_fn(f"link:{r}->{s_node}")
-                delay = dm_sample(r, s_node, rng)
+                draw = link_draws[key]
+                if draw is None:
+                    draw = link_draws[key] = link_draw(
+                        r, s_node, stream_fn(f"link:{r}->{s_node}"))
+                delay = draw()
             tm = t + delay
             event = (tm, nseq, _PONG, s_node, r, ev[5], clock_value)
             b = int(tm * inv_w)
@@ -550,10 +551,11 @@ def simulate_run(spec: VectorSpec) -> VectorRunOutput:
                     if delay > dm_delta:
                         delay = dm_delta
                 else:
-                    rng = link_rngs[key]
-                    if rng is None:
-                        rng = link_rngs[key] = stream_fn(f"link:{node}->{peer}")
-                    delay = dm_sample(node, peer, rng)
+                    draw = link_draws[key]
+                    if draw is None:
+                        draw = link_draws[key] = link_draw(
+                            node, peer, stream_fn(f"link:{node}->{peer}"))
+                    delay = draw()
                 tm = t + delay
                 event = (tm, nseq, _PING, peer, node, token)
                 b = int(tm * inv_w)

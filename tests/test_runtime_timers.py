@@ -8,7 +8,7 @@ queue-honest rules, now promoted to the runtime seam):
   ``cancelled`` False);
 * cancelling twice is a no-op;
 * ``cancelled`` is True iff ``cancel()`` ran while the timer was
-  pending.
+  pending; ``fired`` is True once the callback ran.
 
 Verified against all three runtimes through one shared harness:
 ``SimRuntime`` (simulator events), ``AsyncioRuntime`` on the
@@ -147,6 +147,16 @@ def test_cancelled_false_while_pending_and_after_fire(harness):
     assert not timer.cancelled
 
 
+def test_fired_is_set_once_the_callback_ran(harness):
+    timer = harness.runtime.set_local_timer(TIMER, lambda: None)
+    dropped = harness.runtime.set_local_timer(TIMER, lambda: None)
+    dropped.cancel()
+    assert not timer.fired and not dropped.fired
+    harness.advance(STEP)
+    assert timer.fired and not timer.cancelled
+    assert not dropped.fired and dropped.cancelled
+
+
 def test_timers_are_local_clock_durations(harness):
     """A fast hardware clock fires local-duration timers early in real
     time — on every runtime (the Definition 1 timer mechanism)."""
@@ -167,3 +177,37 @@ def test_timers_are_local_clock_durations(harness):
         assert fired == [1]
     finally:
         runtime.clock = original
+
+
+def _benign_sim_timer_counts(duration: float) -> list[int]:
+    from repro.runner.builders import benign_scenario, default_params
+    from repro.runner.experiment import run
+
+    result = run(benign_scenario(default_params(n=4, f=1),
+                                 duration=duration, seed=3))
+    return [len(process._timers) for process in result.processes.values()]
+
+
+def _benign_live_timer_counts(duration: float) -> list[int]:
+    from repro.rt.live import build_cluster, default_live_params
+
+    loop = Simulator(seed=0)
+    cluster = build_cluster(default_live_params(n=4, f=1), loop, seed=3)
+    cluster.start(sample_interval=1.0)
+    loop.run(until=duration)
+    counts = [len(process._timers) for process in cluster.processes.values()]
+    cluster.stop()  # cancels (and forgets) every timer
+    return counts
+
+
+@pytest.mark.parametrize("timer_counts", [_benign_sim_timer_counts,
+                                          _benign_live_timer_counts],
+                         ids=["sim", "virtual"])
+def test_a_process_keeps_only_pending_timers(timer_counts):
+    """Fired handles leave ``Process._timers`` at the next compaction,
+    so the list stays near its 64-handle threshold however long the
+    run; keeping them made every later ``set_local_timer`` rescan the
+    whole history (over 500 handles per node at 100 s)."""
+    counts = timer_counts(100.0)
+    assert len(counts) == 4
+    assert max(counts) <= 66

@@ -271,3 +271,111 @@ def test_different_streams_are_independent():
     first = [sim.rngs.stream("a").random() for _ in range(3)]
     second = [sim.rngs.stream("b").random() for _ in range(3)]
     assert first != second
+
+
+# ----------------------------------------------------------------------
+# Mixed heap entries: cancellable events beside posted deliveries
+# ----------------------------------------------------------------------
+
+
+def test_delivery_and_timer_at_one_time_fire_in_push_order(sim):
+    fired = []
+    sim.schedule_at(1.0, lambda: fired.append("timer-1"))
+    sim.post(1.0, fired.append, "delivery")
+    sim.schedule_at(1.0, lambda: fired.append("timer-2"))
+    sim.post(1.0, fired.append, "delivery-2")
+    assert sim.run() == 4
+    assert fired == ["timer-1", "delivery", "timer-2", "delivery-2"]
+
+
+def test_cancelled_timer_at_the_head_yields_to_a_delivery(sim):
+    fired = []
+    timer = sim.schedule_at(0.5, lambda: fired.append("timer"))
+    sim.post(1.0, fired.append, "delivery")
+    timer.cancel()
+    assert sim.step() is True
+    assert fired == ["delivery"] and sim.now == 1.0
+    assert sim.pending_events == 0
+    assert sim.step() is False
+
+
+def test_delivery_exactly_at_the_horizon_fires(sim):
+    fired = []
+    sim.post(2.0, fired.append, "at")
+    sim.post(2.5, fired.append, "after")
+    assert sim.run(until=2.0) == 1
+    assert fired == ["at"] and sim.now == 2.0
+    assert sim.pending_events == 1
+
+
+def test_stop_from_inside_a_delivery(sim):
+    fired = []
+    sim.post(1.0, lambda _: sim.stop(), None)
+    sim.post(2.0, fired.append, "later")
+    assert sim.run(until=5.0) == 1
+    assert sim.now == 1.0 and fired == []
+    assert sim.run() == 1 and fired == ["later"]
+
+
+def test_max_events_counts_deliveries_posted_from_deliveries(sim):
+    hops = []
+
+    def relay(hop: int) -> None:
+        hops.append(hop)
+        sim.post(sim.now + 1.0, relay, hop + 1)
+
+    sim.post(0.5, relay, 0)
+    assert sim.run(max_events=3) == 3
+    assert hops == [0, 1, 2] and sim.now == 2.5
+    assert sim.pending_events == 1
+
+
+def test_perf_counters_count_deliveries(sim):
+    timers = [sim.schedule_at(float(i), lambda: None) for i in (1, 2)]
+    for t in (1.5, 2.5, 3.5):
+        sim.post(t, lambda _: None, None)
+    timers[0].cancel()
+    perf = sim.perf_counters()
+    assert perf.events_pushed == 5
+    assert perf.pending_events == sim.pending_events == 4
+    assert perf.events_cancelled == 1
+    assert perf.cancelled_ratio == pytest.approx(0.2)
+    assert perf.heap_high_water == 5
+    assert sim.run() == 4
+    perf = sim.perf_counters()
+    assert perf.events_processed == 4 and perf.pending_events == 0
+
+
+def test_a_scenario_run_builds_no_event_per_message(monkeypatch):
+    """Timers, samples and adversary moves are cancellable ``Event``s;
+    every message delivery is a posted heap entry with no ``Event``."""
+    from repro.runner.builders import default_params, mobile_byzantine_scenario
+    from repro.runner.experiment import run
+    from repro.runtime.messages import Message
+    from repro.sim.events import Event
+
+    tags, posted = [], []
+    init, post = Event.__init__, Simulator.post
+
+    def counting_init(self, time, seq, callback, tag, owner):
+        tags.append(tag)
+        init(self, time, seq, callback, tag, owner)
+
+    def counting_post(self, time, fn, arg):
+        if fn is not None:  # None marks a cancellable Event's entry
+            posted.append(arg)
+        post(self, time, fn, arg)
+
+    monkeypatch.setattr(Event, "__init__", counting_init)
+    monkeypatch.setattr(Simulator, "post", counting_post)
+    result = run(mobile_byzantine_scenario(default_params(n=4, f=1),
+                                           duration=12.0, seed=5))
+    assert result.messages_delivered > len(tags) / 2
+    assert len(posted) >= result.messages_delivered
+    assert all(type(message) is Message for message in posted)
+    assert len(tags) + len(posted) == result.perf.events_pushed
+    assert not any(tag.startswith("deliver") for tag in tags)
+    assert {tag.rpartition(":")[2] for tag in tags if tag.startswith("n")} >= {
+        "sync-alarm", "sync-deadline"}
+    assert "sample" in tags
+    assert any(tag.startswith("break-in:") for tag in tags)
